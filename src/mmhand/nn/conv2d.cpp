@@ -10,29 +10,48 @@ namespace mmhand::nn {
 
 namespace {
 
-/// Gathers sample `s` of `x` into im2col layout: one row per
-/// (channel, ki, kj) triple, one column per output pixel.
-void im2col(const Tensor& x, int s, int in_ch, int kernel, int stride,
+/// Gathers one [ch, h, w] sample into im2col layout: one row per
+/// (channel, ki, kj) triple, one column per pixel of the [oh x ow] conv
+/// output grid; taps that fall in the padding read zero.
+void im2col(const float* x, int ch, int h, int w, int kernel, int stride,
             int pad, int oh, int ow, float* cols) {
-  const int h = x.dim(2), w = x.dim(3);
-  const int col_cols = oh * ow;
-  std::size_t r = 0;
-  for (int c = 0; c < in_ch; ++c)
+  for (int c = 0; c < ch; ++c)
     for (int ki = 0; ki < kernel; ++ki)
-      for (int kj = 0; kj < kernel; ++kj) {
-        float* row = cols + r * col_cols;
-        ++r;
-        std::size_t idx = 0;
+      for (int kj = 0; kj < kernel; ++kj)
         for (int i = 0; i < oh; ++i) {
           const int src_i = i * stride + ki - pad;
-          for (int j = 0; j < ow; ++j, ++idx) {
+          const bool row_in = src_i >= 0 && src_i < h;
+          const float* src =
+              x + (static_cast<std::size_t>(c) * h + (row_in ? src_i : 0)) * w;
+          for (int j = 0; j < ow; ++j, ++cols) {
             const int src_j = j * stride + kj - pad;
-            row[idx] = (src_i >= 0 && src_i < h && src_j >= 0 && src_j < w)
-                           ? x.at(s, c, src_i, src_j)
-                           : 0.0f;
+            *cols = (row_in && src_j >= 0 && src_j < w) ? src[src_j] : 0.0f;
           }
         }
-      }
+}
+
+/// The adjoint of im2col: scatter-adds each column entry back onto the
+/// [ch, h, w] pixel it was gathered from.  Entry (row r, pixel p) is read
+/// from cols[r * row_stride + p * pix_stride], so one walk serves both the
+/// [rows x pixels] layout and its transpose.  The walk order is fixed, so
+/// every output element sums its taps in the same order on every call.
+void col2im(const float* cols, std::size_t row_stride, std::size_t pix_stride,
+            int ch, int h, int w, int kernel, int stride, int pad, int oh,
+            int ow, float* x) {
+  for (int c = 0; c < ch; ++c)
+    for (int ki = 0; ki < kernel; ++ki)
+      for (int kj = 0; kj < kernel; ++kj, cols += row_stride)
+        for (int i = 0; i < oh; ++i) {
+          const int dst_i = i * stride + ki - pad;
+          if (dst_i < 0 || dst_i >= h) continue;
+          float* dst = x + (static_cast<std::size_t>(c) * h + dst_i) * w;
+          for (int j = 0; j < ow; ++j) {
+            const int dst_j = j * stride + kj - pad;
+            if (dst_j >= 0 && dst_j < w)
+              dst[dst_j] += cols[(static_cast<std::size_t>(i) * ow + j) *
+                                 pix_stride];
+          }
+        }
 }
 
 /// Per-thread im2col staging, grown on demand: steady-state inference
@@ -84,7 +103,8 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
     const int s = static_cast<int>(s64);
     float* cols = im2col_scratch(static_cast<std::size_t>(col_rows) *
                                  col_cols);
-    im2col(x, s, in_ch_, kernel_, stride_, pad_, oh, ow, cols);
+    im2col(x.data() + static_cast<std::size_t>(s) * in_ch_ * h * w, in_ch_, h,
+           w, kernel_, stride_, pad_, oh, ow, cols);
     // y_s = W_flat [OC x col_rows] * cols [col_rows x col_cols]
     float* ys = y.data() +
                 static_cast<std::size_t>(s) * out_ch_ * oh * ow;
@@ -120,7 +140,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // reproducibility contract.
   for (int s = 0; s < n; ++s) {
     // Rebuild the column matrix (cheaper than caching it per sample).
-    im2col(x, s, in_ch_, kernel_, stride_, pad_, oh, ow, cols.data());
+    const std::size_t in_off = static_cast<std::size_t>(s) * in_ch_ * h * w;
+    im2col(x.data() + in_off, in_ch_, h, w, kernel_, stride_, pad_, oh, ow,
+           cols.data());
     const float* gs = grad_out.data() +
                       static_cast<std::size_t>(s) * out_ch_ * oh * ow;
     for (int oc = 0; oc < out_ch_; ++oc) {
@@ -135,27 +157,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     std::fill(dcols.begin(), dcols.end(), 0.0f);
     gemm_at_b_acc(weight_.value.data(), gs, dcols.data(), col_rows, out_ch_,
                   col_cols);
-    // col2im accumulate into grad_in.
-    std::size_t r = 0;
-    for (int c = 0; c < in_ch_; ++c)
-      for (int ki = 0; ki < kernel_; ++ki)
-        for (int kj = 0; kj < kernel_; ++kj) {
-          const float* row = dcols.data() + r * col_cols;
-          ++r;
-          std::size_t idx = 0;
-          for (int i = 0; i < oh; ++i) {
-            const int src_i = i * stride_ + ki - pad_;
-            if (src_i < 0 || src_i >= h) {
-              idx += static_cast<std::size_t>(ow);
-              continue;
-            }
-            for (int j = 0; j < ow; ++j, ++idx) {
-              const int src_j = j * stride_ + kj - pad_;
-              if (src_j >= 0 && src_j < w)
-                grad_in.at(s, c, src_i, src_j) += row[idx];
-            }
-          }
-        }
+    col2im(dcols.data(), col_cols, 1, in_ch_, h, w, kernel_, stride_, pad_, oh,
+           ow, grad_in.data() + in_off);
   }
   return grad_in;
 }
@@ -184,37 +187,33 @@ Tensor ConvTranspose2d::forward(const Tensor& x, bool training) {
   MMHAND_CHECK(oh >= 1 && ow >= 1, "deconv output collapsed");
   if (training) cached_input_ = x;
 
+  // Conv view (see conv2d.hpp): the deconv output is the conv input (OC
+  // channels, oh x ow) and the deconv input the conv output grid (IC
+  // channels, h x w).
+  const int taps = out_ch_ * kernel_ * kernel_;
+  const int pixels = h * w;
+
   Tensor y({n, out_ch_, oh, ow});
-  for (int s = 0; s < n; ++s)
+  // Per-sample parallel as in Conv2d::forward; each sample runs the same
+  // serial arithmetic, so results do not depend on N or the thread count.
+  parallel_for(0, n, 1, [&](std::int64_t s64) {
+    const int s = static_cast<int>(s64);
+    // cols [pixels x taps] = x_s^T * W_flat [IC x taps].  The input is the
+    // A operand so gemm skips its zeros (post-ReLU maps are sparse).
+    const std::size_t cols_len = static_cast<std::size_t>(pixels) * taps;
+    float* cols = im2col_scratch(cols_len);
+    for (std::size_t i = 0; i < cols_len; ++i) cols[i] = 0.0f;
+    gemm_at_b_acc(x.data() + static_cast<std::size_t>(s) * in_ch_ * pixels,
+                  weight_.value.data(), cols, pixels, in_ch_, taps);
+    float* ys = y.data() + static_cast<std::size_t>(s) * out_ch_ * oh * ow;
     for (int oc = 0; oc < out_ch_; ++oc) {
       const float b = bias_.value[static_cast<std::size_t>(oc)];
-      for (int i = 0; i < oh; ++i)
-        for (int j = 0; j < ow; ++j) y.at(s, oc, i, j) = b;
+      float* dst = ys + static_cast<std::size_t>(oc) * oh * ow;
+      for (int j = 0; j < oh * ow; ++j) dst[j] = b;
     }
-
-  for (int s = 0; s < n; ++s)
-    for (int c = 0; c < in_ch_; ++c)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const float v = x.at(s, c, i, j);
-          if (v == 0.0f) continue;
-          for (int oc = 0; oc < out_ch_; ++oc) {
-            const float* wk = weight_.value.data() +
-                              ((static_cast<std::size_t>(c) * out_ch_ + oc) *
-                               kernel_) *
-                                  kernel_;
-            for (int ki = 0; ki < kernel_; ++ki) {
-              const int oi = i * stride_ + ki - pad_;
-              if (oi < 0 || oi >= oh) continue;
-              for (int kj = 0; kj < kernel_; ++kj) {
-                const int oj = j * stride_ + kj - pad_;
-                if (oj < 0 || oj >= ow) continue;
-                y.at(s, oc, oi, oj) +=
-                    v * wk[static_cast<std::size_t>(ki) * kernel_ + kj];
-              }
-            }
-          }
-        }
+    col2im(cols, 1, static_cast<std::size_t>(taps), out_ch_, oh, ow, kernel_,
+           stride_, pad_, h, w, ys);
+  });
   return y;
 }
 
@@ -228,42 +227,32 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_out) {
                    grad_out.dim(3) == ow,
                "deconv grad shape");
 
-  // Bias gradient.
-  for (int s = 0; s < n; ++s)
-    for (int oc = 0; oc < out_ch_; ++oc) {
-      float acc = 0.0f;
-      for (int i = 0; i < oh; ++i)
-        for (int j = 0; j < ow; ++j) acc += grad_out.at(s, oc, i, j);
-      bias_.grad[static_cast<std::size_t>(oc)] += acc;
-    }
+  const int taps = out_ch_ * kernel_ * kernel_;
+  const int pixels = h * w;
+  float* cols = im2col_scratch(static_cast<std::size_t>(taps) * pixels);
 
   Tensor grad_in = Tensor::zeros(x.shape());
-  for (int s = 0; s < n; ++s)
-    for (int c = 0; c < in_ch_; ++c)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const float xv = x.at(s, c, i, j);
-          float dx = 0.0f;
-          for (int oc = 0; oc < out_ch_; ++oc) {
-            const std::size_t wbase =
-                (static_cast<std::size_t>(c) * out_ch_ + oc) *
-                static_cast<std::size_t>(kernel_) * kernel_;
-            const float* wk = weight_.value.data() + wbase;
-            float* dwk = weight_.grad.data() + wbase;
-            for (int ki = 0; ki < kernel_; ++ki) {
-              const int oi = i * stride_ + ki - pad_;
-              if (oi < 0 || oi >= oh) continue;
-              for (int kj = 0; kj < kernel_; ++kj) {
-                const int oj = j * stride_ + kj - pad_;
-                if (oj < 0 || oj >= ow) continue;
-                const float g = grad_out.at(s, oc, oi, oj);
-                dx += g * wk[static_cast<std::size_t>(ki) * kernel_ + kj];
-                dwk[static_cast<std::size_t>(ki) * kernel_ + kj] += g * xv;
-              }
-            }
-          }
-          grad_in.at(s, c, i, j) = dx;
-        }
+  // Serial over samples: they all accumulate into the shared weight/bias
+  // gradients in a fixed order.
+  for (int s = 0; s < n; ++s) {
+    const float* gs = grad_out.data() +
+                      static_cast<std::size_t>(s) * out_ch_ * oh * ow;
+    for (int oc = 0; oc < out_ch_; ++oc) {
+      const float* g = gs + static_cast<std::size_t>(oc) * oh * ow;
+      float acc = 0.0f;
+      for (int j = 0; j < oh * ow; ++j) acc += g[j];
+      bias_.grad[static_cast<std::size_t>(oc)] += acc;
+    }
+    // cols [taps x pixels] = im2col(grad_out_s) on the conv-view geometry.
+    im2col(gs, out_ch_, oh, ow, kernel_, stride_, pad_, h, w, cols);
+    const std::size_t in_off = static_cast<std::size_t>(s) * in_ch_ * pixels;
+    // grad_in_s [IC x pixels] = W_flat [IC x taps] * cols.
+    gemm_acc(weight_.value.data(), cols, grad_in.data() + in_off, in_ch_, taps,
+             pixels);
+    // dW [IC x taps] += x_s [IC x pixels] * cols^T.
+    gemm_a_bt_acc(x.data() + in_off, cols, weight_.grad.data(), in_ch_, pixels,
+                  taps);
+  }
   return grad_in;
 }
 

@@ -2,9 +2,10 @@
 
 // 2-D convolution and transposed convolution over [N, C, H, W] maps.
 //
-// Conv2d runs im2col + matmul (the dominant training cost of mmSpaceNet);
-// ConvTranspose2d uses direct scatter loops, which is plenty for the small
-// upsampling maps in the hourglass branch.
+// Both run im2col/col2im + nn/gemm.  ConvTranspose2d is the adjoint of a
+// Conv2d of the same geometry, so its forward is that conv's backward-data
+// pass (gemm, then col2im) and its backward-data that conv's forward
+// (im2col, then gemm).
 
 #include "mmhand/nn/layer.hpp"
 

@@ -141,11 +141,66 @@ TEST_P(DeconvGeometry, GradCheck) {
   expect_gradients_ok(check_parameter_gradients(deconv, x, check_rng2));
 }
 
+// Naive direct-scatter transposed convolution in double: every input pixel
+// adds w * x into each output pixel its kernel covers.  Weight layout is
+// [IC, OC, K, K], as in ConvTranspose2d.
+std::vector<double> deconv_reference(const Tensor& x, const Tensor& weight,
+                                     const Tensor& bias, const ConvCase& c,
+                                     int oh, int ow) {
+  const int n = x.dim(0);
+  std::vector<double> y(static_cast<std::size_t>(n) * c.out_ch * oh * ow);
+  auto out = [&](int s, int oc, int i, int j) -> double& {
+    return y[((static_cast<std::size_t>(s) * c.out_ch + oc) * oh + i) * ow + j];
+  };
+  for (int s = 0; s < n; ++s)
+    for (int oc = 0; oc < c.out_ch; ++oc)
+      for (int i = 0; i < oh; ++i)
+        for (int j = 0; j < ow; ++j) out(s, oc, i, j) = bias.at(oc);
+  for (int s = 0; s < n; ++s)
+    for (int ic = 0; ic < c.in_ch; ++ic)
+      for (int i = 0; i < c.h; ++i)
+        for (int j = 0; j < c.w; ++j)
+          for (int oc = 0; oc < c.out_ch; ++oc)
+            for (int ki = 0; ki < c.k; ++ki)
+              for (int kj = 0; kj < c.k; ++kj) {
+                const int oi = i * c.stride + ki - c.pad;
+                const int oj = j * c.stride + kj - c.pad;
+                if (oi < 0 || oi >= oh || oj < 0 || oj >= ow) continue;
+                out(s, oc, oi, oj) += static_cast<double>(x.at(s, ic, i, j)) *
+                                      weight.at(ic, oc, ki, kj);
+              }
+  return y;
+}
+
+TEST_P(DeconvGeometry, ForwardMatchesDirectScatter) {
+  const auto c = GetParam();
+  Rng rng(16);
+  ConvTranspose2d deconv(c.in_ch, c.out_ch, c.k, c.stride, c.pad, rng);
+  Tensor& bias = deconv.parameters()[1]->value;
+  for (std::size_t i = 0; i < bias.numel(); ++i)
+    bias[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+  // Post-ReLU-like input: about a third exact zeros (gemm's skip path).
+  Tensor x = random_tensor({3, c.in_ch, c.h, c.w}, rng);
+  for (std::size_t i = 0; i < x.numel(); ++i)
+    if (i % 3 == 0 || x[i] < -0.6f) x[i] = 0.0f;
+  const Tensor y = deconv.forward(x, false);
+  const int oh = deconv.out_extent(c.h), ow = deconv.out_extent(c.w);
+  ASSERT_EQ(y.dim(2), oh);
+  ASSERT_EQ(y.dim(3), ow);
+  const std::vector<double> ref = deconv_reference(
+      x, deconv.parameters()[0]->value, bias, c, oh, ow);
+  ASSERT_EQ(ref.size(), y.numel());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    EXPECT_NEAR(y[i], ref[i], 1e-5) << "at flat index " << i;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, DeconvGeometry,
     ::testing::Values(ConvCase{1, 1, 4, 2, 1, 3, 3},
                       ConvCase{2, 2, 4, 2, 1, 4, 4},
-                      ConvCase{3, 1, 3, 1, 1, 4, 4}));
+                      ConvCase{3, 1, 3, 1, 1, 4, 4},
+                      ConvCase{2, 4, 4, 2, 1, 3, 5},
+                      ConvCase{3, 2, 3, 2, 1, 5, 4}));
 
 TEST(ConvTranspose2d, DoublesSpatialExtent) {
   Rng rng(14);

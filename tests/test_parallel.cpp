@@ -61,9 +61,10 @@ struct ConvResult {
   std::vector<float> y, grad_in, dw, db;
 };
 
+template <typename ConvLayer>
 ConvResult run_conv() {
   Rng rng(42);
-  nn::Conv2d conv(3, 8, 3, 1, 1, rng);
+  ConvLayer conv(3, 8, 3, 1, 1, rng);
   const nn::Tensor x = nn::Tensor::randn({2, 3, 16, 16}, rng, 1.0);
   const nn::Tensor y = conv.forward(x, /*training=*/true);
   const nn::Tensor g = nn::Tensor::randn(y.shape(), rng, 1.0);
@@ -73,13 +74,22 @@ ConvResult run_conv() {
           params[1]->grad.vec()};
 }
 
-TEST(ParallelDeterminism, Conv2dForwardBackwardBitwiseEqual) {
-  const ConvResult serial = with_threads(1, run_conv);
-  const ConvResult threaded = with_threads(4, run_conv);
+template <typename ConvLayer>
+void expect_conv_bitwise_equal_across_threads() {
+  const ConvResult serial = with_threads(1, run_conv<ConvLayer>);
+  const ConvResult threaded = with_threads(4, run_conv<ConvLayer>);
   EXPECT_EQ(serial.y, threaded.y);
   EXPECT_EQ(serial.grad_in, threaded.grad_in);
   EXPECT_EQ(serial.dw, threaded.dw);
   EXPECT_EQ(serial.db, threaded.db);
+}
+
+TEST(ParallelDeterminism, Conv2dForwardBackwardBitwiseEqual) {
+  expect_conv_bitwise_equal_across_threads<nn::Conv2d>();
+}
+
+TEST(ParallelDeterminism, ConvTranspose2dForwardBackwardBitwiseEqual) {
+  expect_conv_bitwise_equal_across_threads<nn::ConvTranspose2d>();
 }
 
 std::tuple<std::vector<float>, std::vector<float>> run_linear() {
