@@ -26,6 +26,21 @@ double* biquad_scratch(std::size_t doubles) {
   return buf.data();
 }
 
+/// Copies one real channel into lane `lane` of a padded lane block:
+/// `ch` points at the channel's sample 0, samples 2 doubles apart (the
+/// re or im part of a complex signal).  Adds the odd reflection around
+/// both edges, matching `filtfilt`.
+void load_channel(double* x, std::size_t width, std::size_t lane,
+                  const double* ch, std::size_t len, std::size_t pad) {
+  for (std::size_t t = 0; t < len; ++t)
+    x[(pad + t) * width + lane] = ch[2 * t];
+  for (std::size_t i = 0; i < pad; ++i) {
+    x[i * width + lane] = 2.0 * ch[0] - ch[2 * (pad - i)];
+    x[(pad + len + i) * width + lane] =
+        2.0 * ch[2 * (len - 1)] - ch[2 * (len - 2 - i)];
+  }
+}
+
 }  // namespace
 
 SosFilter::SosFilter(std::vector<Biquad> sections, double gain)
@@ -98,64 +113,41 @@ void SosFilter::filtfilt_batch(Cd* data, std::size_t len,
   MMHAND_CHECK(len >= 2, "filtfilt needs >= 2 samples");
   if (count == 0) return;
 
-  if (simd::active_isa() == simd::Isa::kScalar) {
-    // Reference path: per-signal filtfilt, same op order as the
-    // pre-batch pipeline loop — scalar results stay bitwise identical.
-    parallel_for(0, static_cast<std::int64_t>(count), 1,
-                 [&](std::int64_t i) {
-                   Cd* sig = data + static_cast<std::size_t>(i) * len;
-                   const auto y = filtfilt(std::span<const Cd>(sig, len));
-                   std::copy(y.begin(), y.end(), sig);
-                 });
-    return;
-  }
-
-  // Vector path: each complex signal contributes two real channels
-  // (re, im) that occupy adjacent SIMD lanes; a block fills all
-  // `width` lanes with width/2 signals.  Block membership is fixed by
+  // Each complex signal contributes two real channels: channel c is the
+  // re (c even) or im (c odd) part of signal c/2.  A block fills the
+  // `width` SIMD lanes with consecutive channels; membership is fixed by
   // index, so results do not depend on the thread count.
   const auto& kernels = simd::kernels();
   const std::size_t width = static_cast<std::size_t>(kernels.width);
-  const std::size_t per_block = std::max<std::size_t>(1, width / 2);
+  const std::size_t channels = 2 * count;
   const std::size_t nsec = sections_.size();
   const std::size_t pad =
       std::min<std::size_t>(len - 1, 3 * (2 * nsec + 1));
   const std::size_t ext = len + 2 * pad;
   const double* coeffs = packed_coeffs_.data();
+  // std::complex<double> is layout-compatible with double[2].
+  double* flat = reinterpret_cast<double*>(data);
 
   const std::int64_t blocks =
-      static_cast<std::int64_t>((count + per_block - 1) / per_block);
+      static_cast<std::int64_t>((channels + width - 1) / width);
   parallel_for(0, blocks, 1, [&](std::int64_t b) {
     double* x = biquad_scratch(ext * width);
-    const std::size_t first = static_cast<std::size_t>(b) * per_block;
-    const std::size_t in_block = std::min(per_block, count - first);
-    for (std::size_t p = 0; p < per_block; ++p) {
-      // Duplicate the last signal into unused lanes so every lane holds
-      // finite data; their results are simply not written back.
-      const std::size_t sig_idx = first + std::min(p, in_block - 1);
-      const Cd* sig = data + sig_idx * len;
-      const std::size_t lr = 2 * p, li = 2 * p + 1 < width ? 2 * p + 1 : lr;
-      for (std::size_t t = 0; t < len; ++t) {
-        x[(pad + t) * width + lr] = sig[t].real();
-        x[(pad + t) * width + li] = sig[t].imag();
-      }
-      // Odd reflection around both edges, matching `filtfilt`.
-      for (std::size_t i = 0; i < pad; ++i) {
-        x[i * width + lr] = 2.0 * sig[0].real() - sig[pad - i].real();
-        x[i * width + li] = 2.0 * sig[0].imag() - sig[pad - i].imag();
-        x[(pad + len + i) * width + lr] =
-            2.0 * sig[len - 1].real() - sig[len - 2 - i].real();
-        x[(pad + len + i) * width + li] =
-            2.0 * sig[len - 1].imag() - sig[len - 2 - i].imag();
-      }
-    }
+    const std::size_t first = static_cast<std::size_t>(b) * width;
+    const std::size_t in_block = std::min(width, channels - first);
+    auto channel = [&](std::size_t l) {
+      return flat + (first + l) / 2 * 2 * len + (first + l) % 2;
+    };
+    for (std::size_t l = 0; l < in_block; ++l)
+      load_channel(x, width, l, channel(l), len, pad);
+    // Lanes past the last channel filter zeros; they are never stored.
+    for (std::size_t l = in_block; l < width; ++l)
+      for (std::size_t t = 0; t < ext; ++t) x[t * width + l] = 0.0;
     kernels.sos_lanes(x, ext, coeffs, nsec, gain_, +1);
     kernels.sos_lanes(x, ext, coeffs, nsec, gain_, -1);
-    for (std::size_t p = 0; p < in_block; ++p) {
-      Cd* sig = data + (first + p) * len;
-      const std::size_t lr = 2 * p, li = 2 * p + 1 < width ? 2 * p + 1 : lr;
+    for (std::size_t l = 0; l < in_block; ++l) {
+      double* ch = channel(l);
       for (std::size_t t = 0; t < len; ++t)
-        sig[t] = Cd{x[(pad + t) * width + lr], x[(pad + t) * width + li]};
+        ch[2 * t] = x[(pad + t) * width + l];
     }
   });
 }

@@ -41,11 +41,12 @@ class SosFilter {
       std::span<const std::complex<double>> x) const;
 
   /// Zero-phase filters `count` equal-length complex signals in place
-  /// (signal i occupies data[i*len, (i+1)*len)).  With the scalar ISA
-  /// this loops the per-signal `filtfilt` above — bitwise identical to
-  /// pre-batch behavior; on vector ISAs the real/imaginary components
-  /// ride the SIMD lanes of a batched biquad cascade (channel-major,
-  /// one lane per real channel), within 1e-9 relative of scalar.
+  /// (signal i occupies data[i*len, (i+1)*len)).  The real and
+  /// imaginary components ride the SIMD lanes of a batched biquad
+  /// cascade, one lane per real channel.  On the width-1 scalar ISA it
+  /// reproduces the per-signal `filtfilt` above bitwise for Butterworth
+  /// sections (b1 == 0 makes the kernel's reassociated state update
+  /// exact); wider ISAs agree with it to 1e-9 relative.
   void filtfilt_batch(std::complex<double>* data, std::size_t len,
                       std::size_t count) const;
 

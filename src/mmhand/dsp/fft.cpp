@@ -11,6 +11,7 @@
 
 #include "mmhand/common/error.hpp"
 #include "mmhand/common/realtime.hpp"
+#include "mmhand/simd/kernels.hpp"
 #include "mmhand/simd/simd.hpp"
 
 namespace mmhand::dsp {
@@ -114,46 +115,9 @@ double* czt_scratch(std::size_t doubles) {
   return buf.data();
 }
 
-bool vector_isa_active() {
-  return simd::active_isa() != simd::Isa::kScalar;
-}
-
 }  // namespace
 
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
-
-void fft_pow2_inplace(std::vector<Complex>& x, bool inverse) {
-  const std::size_t n = x.size();
-  MMHAND_CHECK(is_power_of_two(n), "fft_pow2 size " << n);
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  if (n >= 2) {
-    const auto& tw = twiddle_table(n);
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      // Stage twiddles w_len^k are the cached w_n^{k*stride}.
-      const std::size_t stride = n / len;
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t k = 0; k < len / 2; ++k) {
-          const Complex w =
-              inverse ? std::conj(tw[k * stride]) : tw[k * stride];
-          const Complex u = x[i + k];
-          const Complex v = x[i + k + len / 2] * w;
-          x[i + k] = u + v;
-          x[i + k + len / 2] = u - v;
-        }
-      }
-    }
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (auto& v : x) v *= inv_n;
-  }
-}
 
 MMHAND_REALTIME
 void fft_lanes_pow2(double* re, double* im, std::size_t n, bool inverse) {
@@ -170,55 +134,17 @@ void fft_soa_pow2(double* re, double* im, std::size_t n, bool inverse) {
   simd::kernels().fft_soa(re, im, n, stw.re.data(), stw.im.data(), inverse);
 }
 
-std::vector<Complex> czt(std::span<const Complex> x, std::size_t m, Complex w,
-                         Complex a) {
-  // Bluestein's algorithm: X_k = w^{k^2/2} * sum_n x_n a^{-n} w^{n^2/2}
-  //                               * w^{-(k-n)^2/2}
-  // i.e. a convolution evaluated with power-of-two FFTs.
-  const std::size_t n = x.size();
-  MMHAND_CHECK(n >= 1 && m >= 1, "czt sizes n=" << n << " m=" << m);
-  const std::size_t conv = next_pow2(n + m - 1);
-
-  // Chirp factors w^{k^2/2}.  Compute via angle accumulation to avoid huge
-  // integer squares losing precision: arg(w^{k^2/2}) = k^2/2 * arg(w).
-  const double wang = std::arg(w);
-  const double wmag = std::abs(w);
-  auto chirp = [&](double k2_half) {
-    return std::polar(std::pow(wmag, k2_half), wang * k2_half);
-  };
-
-  std::vector<Complex> fa(conv, Complex{});
-  for (std::size_t i = 0; i < n; ++i) {
-    const double i2 = 0.5 * static_cast<double>(i) * static_cast<double>(i);
-    fa[i] = x[i] * std::pow(a, -static_cast<double>(i)) * chirp(i2);
-  }
-  std::vector<Complex> fb(conv, Complex{});
-  const std::size_t lim = std::max(n, m);
-  for (std::size_t i = 0; i < lim; ++i) {
-    const double i2 = 0.5 * static_cast<double>(i) * static_cast<double>(i);
-    const Complex v = chirp(-i2);
-    if (i < m) fb[i] = v;
-    if (i >= 1 && i < n) fb[conv - i] = v;
-  }
-  fft_pow2_inplace(fa, false);
-  fft_pow2_inplace(fb, false);
-  for (std::size_t i = 0; i < conv; ++i) fa[i] *= fb[i];
-  fft_pow2_inplace(fa, true);
-
-  std::vector<Complex> out(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    const double k2 = 0.5 * static_cast<double>(k) * static_cast<double>(k);
-    out[k] = fa[k] * chirp(k2);
-  }
-  return out;
-}
-
 CztPlan::CztPlan(std::size_t n, std::size_t m, Complex w, Complex a)
     : n_(n), m_(m), conv_(next_pow2(n + m - 1)) {
-  MMHAND_CHECK(n >= 1 && m >= 1, "czt plan sizes n=" << n << " m=" << m);
-  // Identical factor formulas to `czt` above, evaluated once.  The plan
-  // is built with the scalar reference FFT so its tables do not depend
-  // on the active ISA.
+  MMHAND_CHECK(n >= 1 && m >= 1, "czt sizes n=" << n << " m=" << m);
+  // Bluestein's algorithm: X_k = w^{k^2/2} * sum_n x_n a^{-n} w^{n^2/2}
+  //                               * w^{-(k-n)^2/2}
+  // i.e. a convolution evaluated with power-of-two FFTs.  The chirp
+  // factors and the kernel spectrum are computed once, the spectrum with
+  // the width-1 kernels, so the tables do not depend on the active ISA.
+  //
+  // Chirp factors w^{k^2/2} via angle accumulation, avoiding huge
+  // integer squares that lose precision: arg(w^{k^2/2}) = k^2/2 * arg(w).
   const double wang = std::arg(w);
   const double wmag = std::abs(w);
   auto chirp = [&](double k2_half) {
@@ -234,21 +160,21 @@ CztPlan::CztPlan(std::size_t n, std::size_t m, Complex w, Complex a)
     fa_im_[i] = f.imag();
   }
 
-  std::vector<Complex> fb(conv_, Complex{});
+  fb_re_.assign(conv_, 0.0);
+  fb_im_.assign(conv_, 0.0);
   const std::size_t lim = std::max(n, m);
   for (std::size_t i = 0; i < lim; ++i) {
     const double i2 = 0.5 * static_cast<double>(i) * static_cast<double>(i);
     const Complex v = chirp(-i2);
-    if (i < m) fb[i] = v;
-    if (i >= 1 && i < n) fb[conv_ - i] = v;
+    auto put = [&](std::size_t j) {
+      fb_re_[j] = v.real();
+      fb_im_[j] = v.imag();
+    };
+    if (i < m) put(i);
+    if (i >= 1 && i < n) put(conv_ - i);
   }
-  fft_pow2_inplace(fb, false);
-  fb_re_.resize(conv_);
-  fb_im_.resize(conv_);
-  for (std::size_t i = 0; i < conv_; ++i) {
-    fb_re_[i] = fb[i].real();
-    fb_im_[i] = fb[i].imag();
-  }
+  simd::scalar_kernels().fft_lanes(fb_re_.data(), fb_im_.data(), conv_,
+                                   twiddle_interleaved(conv_), false);
 
   out_re_.resize(m);
   out_im_.resize(m);
@@ -339,6 +265,9 @@ const CztPlan& zoom_plan(std::size_t n, double f_lo, double f_hi,
     if (p->n == n && p->bins == bins && p->f_lo_bits == lo &&
         p->f_hi_bits == hi)
       return p->plan;
+  // X_k = sum_n x_n e^{-2*pi*i*(f_lo + k*step)*n}  ==  CZT with
+  // A = e^{+2*pi*i*f_lo} (so A^{-n} gives the f_lo shift) and
+  // W = e^{-2*pi*i*step} (so W^{nk} sweeps the band).
   const double step = (f_hi - f_lo) / static_cast<double>(bins);
   const Complex a = std::polar(1.0, 2.0 * kPi * f_lo);
   const Complex w = std::polar(1.0, -2.0 * kPi * step);
@@ -350,25 +279,29 @@ const CztPlan& zoom_plan(std::size_t n, double f_lo, double f_hi,
   return published->plan;
 }
 
+namespace {
+
+/// Power-of-two transform of one signal through the split-complex SIMD
+/// FFT.
+std::vector<Complex> fft_soa(std::span<const Complex> x, bool inverse) {
+  const std::size_t n = x.size();
+  aligned_vector<double> re(n), im(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    re[i] = x[i].real();
+    im[i] = x[i].imag();
+  }
+  fft_soa_pow2(re.data(), im.data(), n, inverse);
+  std::vector<Complex> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = Complex{re[i], im[i]};
+  return v;
+}
+
+}  // namespace
+
 std::vector<Complex> fft(std::span<const Complex> x) {
   const std::size_t n = x.size();
   MMHAND_CHECK(n >= 1, "fft of empty signal");
-  if (is_power_of_two(n)) {
-    if (n >= 2 && vector_isa_active()) {
-      aligned_vector<double> re(n), im(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        re[i] = x[i].real();
-        im[i] = x[i].imag();
-      }
-      fft_soa_pow2(re.data(), im.data(), n, false);
-      std::vector<Complex> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = Complex{re[i], im[i]};
-      return v;
-    }
-    std::vector<Complex> v(x.begin(), x.end());
-    fft_pow2_inplace(v, false);
-    return v;
-  }
+  if (is_power_of_two(n)) return fft_soa(x, false);
   // Bluestein: DFT == CZT with a = 1, w = exp(-2*pi*i/n).
   const Complex w = std::polar(1.0, -2.0 * kPi / static_cast<double>(n));
   return czt(x, n, w, Complex{1.0, 0.0});
@@ -377,22 +310,7 @@ std::vector<Complex> fft(std::span<const Complex> x) {
 std::vector<Complex> ifft(std::span<const Complex> x) {
   const std::size_t n = x.size();
   MMHAND_CHECK(n >= 1, "ifft of empty signal");
-  if (is_power_of_two(n)) {
-    if (n >= 2 && vector_isa_active()) {
-      aligned_vector<double> re(n), im(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        re[i] = x[i].real();
-        im[i] = x[i].imag();
-      }
-      fft_soa_pow2(re.data(), im.data(), n, true);
-      std::vector<Complex> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = Complex{re[i], im[i]};
-      return v;
-    }
-    std::vector<Complex> v(x.begin(), x.end());
-    fft_pow2_inplace(v, true);
-    return v;
-  }
+  if (is_power_of_two(n)) return fft_soa(x, true);
   // Conjugation trick: ifft(x) = conj(fft(conj(x))) / n.
   std::vector<Complex> c(n);
   for (std::size_t i = 0; i < n; ++i) c[i] = std::conj(x[i]);
@@ -404,7 +322,7 @@ std::vector<Complex> ifft(std::span<const Complex> x) {
 
 std::vector<Complex> fft_real(std::span<const double> x) {
   const std::size_t n = x.size();
-  if (n >= 4 && is_power_of_two(n) && vector_isa_active()) {
+  if (n >= 4 && is_power_of_two(n)) {
     // Real-input specialization: pack the even/odd samples into a
     // half-size complex signal, transform, and untangle
     //   X_k = E_k + e^{-2*pi*i*k/n} O_k
@@ -453,19 +371,16 @@ std::vector<Complex> fft_shift(std::span<const Complex> x) {
   return out;
 }
 
+std::vector<Complex> czt(std::span<const Complex> x, std::size_t m, Complex w,
+                         Complex a) {
+  return CztPlan(x.size(), m, w, a).run(x);
+}
+
 std::vector<Complex> zoom_fft(std::span<const Complex> x, double f_lo,
                               double f_hi, std::size_t bins) {
   MMHAND_CHECK(bins >= 1, "zoom_fft needs bins >= 1");
   MMHAND_CHECK(f_hi > f_lo, "zoom_fft band [" << f_lo << ", " << f_hi << ")");
-  if (vector_isa_active())
-    return zoom_plan(x.size(), f_lo, f_hi, bins).run(x);
-  const double step = (f_hi - f_lo) / static_cast<double>(bins);
-  // X_k = sum_n x_n e^{-2*pi*i*(f_lo + k*step)*n}  ==  CZT with
-  // A = e^{+2*pi*i*f_lo} (so A^{-n} gives the f_lo shift) and
-  // W = e^{-2*pi*i*step} (so W^{nk} sweeps the band).
-  const Complex a = std::polar(1.0, 2.0 * kPi * f_lo);
-  const Complex w = std::polar(1.0, -2.0 * kPi * step);
-  return czt(x, bins, w, a);
+  return zoom_plan(x.size(), f_lo, f_hi, bins).run(x);
 }
 
 }  // namespace mmhand::dsp

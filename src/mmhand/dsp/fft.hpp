@@ -7,12 +7,11 @@
 // sizes, a Bluestein fallback for arbitrary sizes, and a chirp-Z transform
 // used by the zoom-FFT angle refinement.
 //
-// Two execution paths coexist (DESIGN §9).  With the scalar ISA active
-// every entry point runs the original reference code, bitwise identical
-// to pre-SIMD builds.  With a vector ISA the power-of-two transforms run
-// on split-complex (SoA) layouts through the simd/ kernel table, and the
-// CZT/zoom path amortizes its chirp factors and kernel spectrum in a
-// cached `CztPlan`; vector results agree with scalar to 1e-9 relative.
+// One implementation on every ISA (DESIGN §9): the power-of-two
+// transforms run on split-complex (SoA) layouts through the simd/ kernel
+// table, and the CZT/zoom path amortizes its chirp factors and kernel
+// spectrum in a `CztPlan`.  The scalar ISA is the width-1 instance of the
+// same kernels; wider ISAs agree with it to 1e-9 relative.
 
 #include <complex>
 #include <span>
@@ -27,11 +26,6 @@ using Complex = std::complex<double>;
 /// True when n is a power of two (n >= 1).
 bool is_power_of_two(std::size_t n);
 
-/// In-place iterative radix-2 Cooley-Tukey FFT.  Size must be a power of
-/// two.  When `inverse`, computes the inverse transform including the 1/N
-/// normalization.  Always the scalar reference path.
-void fft_pow2_inplace(std::vector<Complex>& x, bool inverse);
-
 /// FFT of arbitrary size (radix-2 when possible, Bluestein otherwise).
 std::vector<Complex> fft(std::span<const Complex> x);
 
@@ -39,7 +33,7 @@ std::vector<Complex> fft(std::span<const Complex> x);
 std::vector<Complex> ifft(std::span<const Complex> x);
 
 /// FFT of a real signal; returns the full complex spectrum of length n.
-/// On vector ISAs power-of-two sizes use the real-input specialization
+/// Power-of-two sizes (n >= 4) use the real-input specialization
 /// (half-size complex FFT plus untangling).
 std::vector<Complex> fft_real(std::span<const double> x);
 
@@ -49,7 +43,7 @@ std::vector<Complex> fft_shift(std::span<const Complex> x);
 
 /// Chirp-Z transform: evaluates the z-transform of x at the m points
 /// a * w^-k, k = 0..m-1.  Used to zoom into a narrow frequency band with a
-/// finer grid than the plain FFT provides.
+/// finer grid than the plain FFT provides.  Runs a one-off `CztPlan`.
 std::vector<Complex> czt(std::span<const Complex> x, std::size_t m, Complex w,
                          Complex a);
 
@@ -81,7 +75,7 @@ class CztPlan {
   std::size_t output_size() const { return m_; }
 
   /// Evaluates one signal (x.size() == input_size()) on the active
-  /// SIMD kernels; used by the vector path of `zoom_fft`.
+  /// SIMD kernels; used by `czt` and `zoom_fft`.
   std::vector<Complex> run(std::span<const Complex> x) const;
 
   /// Evaluates simd::kernels().width signals at once.  re/im hold

@@ -11,10 +11,12 @@ namespace mmhand::dsp {
 
 std::vector<double> magnitude(std::span<const std::complex<double>> x) {
   std::vector<double> m(x.size());
-  if (simd::active_isa() != simd::Isa::kScalar && x.size() >= 8) {
+  if (x.size() >= 8) {
     // Split to SoA once, then one vector sqrt per lane-width of
     // elements.  sqrt(re^2+im^2) forgoes std::abs's overflow rescaling,
     // which is irrelevant at radar signal magnitudes (DESIGN §9).
+    // Spans under 8 keep std::abs so that their AVX2 results stay
+    // bitwise stable.
     const std::size_t n = x.size();
     aligned_vector<double> re(n), im(n);
     for (std::size_t i = 0; i < n; ++i) {

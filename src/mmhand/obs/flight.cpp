@@ -120,15 +120,17 @@ std::size_t total_size(std::uint32_t max_threads, std::uint32_t slots,
   return rings_offset(name_cap) + max_threads * ring_stride(slots);
 }
 
-/// The active mapping.  Leaked by design: a racing writer may hold the
-/// pointer across stop_flight/set_flight, so mappings are never freed
-/// (a process remaps at most a handful of times).
+/// The active mapping.  Never freed: a racing writer may hold the
+/// pointer across stop_flight/set_flight (a process remaps at most a
+/// handful of times).  Each mapping links the one it replaced, so the
+/// retired ones stay reachable from `g_mapping` rather than lost.
 struct Mapping {
   unsigned char* base = nullptr;
   std::uint32_t max_threads = 0;
   std::uint32_t slots = 0;
   std::uint32_t name_cap = 0;
   char dump_path[1024] = {};
+  const Mapping* prev = nullptr;
 };
 
 std::atomic<Mapping*> g_mapping{nullptr};
@@ -502,6 +504,7 @@ bool set_flight(const FlightConfig& config) {
     h->start_unix_ms = static_cast<std::uint64_t>(unix_time_ms());
   }
   g_path = config.path;
+  m->prev = g_mapping.load(std::memory_order_relaxed);
   g_mapping.store(m, std::memory_order_release);
   g_generation.fetch_add(1, std::memory_order_acq_rel);
   install_handlers_once();

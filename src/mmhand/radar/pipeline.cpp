@@ -25,8 +25,8 @@ using Cd = std::complex<double>;
 /// name).  These are arithmetic estimates of the stage's math — 5·N·log2N
 /// per complex FFT, one CZT as three kernel FFTs, 16-byte complex
 /// doubles streamed in and out — not measurements, and deliberately
-/// identical for the scalar and SIMD paths so arithmetic intensity is a
-/// property of the algorithm, not the dispatch.
+/// identical on every ISA so arithmetic intensity is a property of the
+/// algorithm, not the dispatch.
 double fft_flops(double n) {
   return 5.0 * n * std::log2(std::max(2.0, n));
 }
@@ -64,6 +64,15 @@ RadarPipeline::RadarPipeline(const ChirpConfig& chirp,
   MMHAND_CHECK(config_.cube.range_bins <= chirp_.samples_per_chirp,
                "more range bins than samples per chirp");
   MMHAND_CHECK(config_.band_lo_m < config_.band_hi_m, "bandpass band");
+  // The range and Doppler stages are lane-batched radix-2 FFTs.
+  MMHAND_CHECK(dsp::is_power_of_two(
+                   static_cast<std::size_t>(chirp_.samples_per_chirp)),
+               "samples_per_chirp must be a power of two, got "
+                   << chirp_.samples_per_chirp);
+  MMHAND_CHECK(dsp::is_power_of_two(
+                   static_cast<std::size_t>(chirp_.chirps_per_frame)),
+               "chirps_per_frame must be a power of two, got "
+                   << chirp_.chirps_per_frame);
   if (config_.enable_bandpass) {
     const double fs = chirp_.sample_rate_hz();
     const double f_lo = chirp_.beat_frequency_hz(config_.band_lo_m);
@@ -123,7 +132,7 @@ namespace {
 /// Per-thread frame workspace: every per-frame intermediate (bandpass
 /// staging, range profiles, Doppler volume, TDM phase table) lives
 /// here, grown on demand and reused across frames, so a warm
-/// `process_frame_into` performs no heap allocation on vector ISAs
+/// `process_frame_into` performs no heap allocation
 /// (audited in scripts/purity_allowlist.json; scripts/check_purity.sh
 /// asserts it at runtime).
 struct FrameWorkspace {
@@ -148,40 +157,6 @@ FrameWorkspace& frame_workspace(std::size_t filtered_n,
 
 }  // namespace
 
-void RadarPipeline::range_fft_scalar(const IfFrame& frame,
-                                     const Cd* filtered,
-                                     Cd* profiles) const {
-  const int n_rx = frame.num_rx();
-  const int n_chirp = frame.chirps();
-  const int n_samp = frame.samples();
-  const int n_range = config_.cube.range_bins;
-  const std::int64_t n_virt =
-      static_cast<std::int64_t>(frame.num_tx()) * n_rx * n_chirp;
-  parallel_for(
-      0, n_virt, 1,
-      [&](std::int64_t idx) {
-        const int c = static_cast<int>(idx % n_chirp);
-        const int rx = static_cast<int>((idx / n_chirp) % n_rx);
-        const int tx = static_cast<int>(
-            idx / (static_cast<std::int64_t>(n_chirp) * n_rx));
-        const Cd* in = filtered != nullptr
-                           ? filtered +
-                                 static_cast<std::size_t>(idx) * n_samp
-                           : frame.chirp_data(tx, rx, c);
-        std::vector<Cd> chirp_buf(in, in + n_samp);
-        for (int m = 0; m < n_samp; ++m)
-          chirp_buf[static_cast<std::size_t>(m)] *=
-              range_window_[static_cast<std::size_t>(m)];
-        const auto spectrum = dsp::fft(chirp_buf);
-        const std::size_t base =
-            ((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp + c) *
-            n_range;
-        for (int d = 0; d < n_range; ++d)
-          profiles[base + static_cast<std::size_t>(d)] =
-              spectrum[static_cast<std::size_t>(d)];
-      });
-}
-
 MMHAND_REALTIME
 void RadarPipeline::range_profiles_into(const IfFrame& frame, Cd* filtered,
                                         Cd* profiles) const {
@@ -201,9 +176,7 @@ void RadarPipeline::range_profiles_into(const IfFrame& frame, Cd* filtered,
 
   // Stage 1: Butterworth bandpass, all chirps in one zero-phase batch
   // (skipped when disabled; the per-chirp op order is the same as the
-  // fused loop, so results are unchanged).  filtfilt_batch runs the
-  // per-signal reference loop under the scalar ISA and the lane-batched
-  // biquad cascade otherwise.
+  // fused loop, so results are unchanged).
   const bool bandpass = config_.enable_bandpass;
   if (bandpass) {
     MMHAND_SPAN("radar/bandpass");
@@ -219,20 +192,10 @@ void RadarPipeline::range_profiles_into(const IfFrame& frame, Cd* filtered,
   }
 
   // Stage 2: window + range-FFT per (tx, rx, chirp); each index owns a
-  // disjoint `n_range` slice of `profiles`, so the fan-out is
-  // deterministic.
+  // disjoint `n_range` slice of `profiles`.  `width` chirps ride the SIMD
+  // lanes of one split-complex FFT.  Groups are fixed runs of consecutive
+  // chirp indices, so the output is independent of the thread count.
   MMHAND_SPAN("radar/range_fft");
-  const bool vec_range = simd::active_isa() != simd::Isa::kScalar &&
-                         dsp::is_power_of_two(static_cast<std::size_t>(
-                             n_samp));
-  if (!vec_range) {
-    range_fft_scalar(frame, bandpass ? filtered : nullptr, profiles);
-    return;
-  }
-
-  // Vector path: `width` chirps ride the SIMD lanes of one split-complex
-  // FFT.  Groups are fixed runs of consecutive chirp indices, so the
-  // output is independent of the thread count.
   const auto& kernels = simd::kernels();
   const std::size_t width = static_cast<std::size_t>(kernels.width);
   const std::int64_t groups =
@@ -274,107 +237,6 @@ void RadarPipeline::range_profiles_into(const IfFrame& frame, Cd* filtered,
   });
 }
 
-void RadarPipeline::doppler_fft_scalar(const IfFrame& frame,
-                                       const Cd* profiles,
-                                       Cd* doppler) const {
-  const int n_tx = frame.num_tx();
-  const int n_rx = frame.num_rx();
-  const int n_chirp = frame.chirps();
-  const int n_range = config_.cube.range_bins;
-  auto profile_at = [&](int tx, int rx, int c, int d) -> Cd {
-    return profiles[((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp +
-                     c) *
-                        n_range +
-                    static_cast<std::size_t>(d)];
-  };
-  const std::int64_t n_cols =
-      static_cast<std::int64_t>(n_tx) * n_rx * n_range;
-  parallel_for(
-      0, n_cols, 1,
-      [&](std::int64_t idx) {
-        const int d = static_cast<int>(idx % n_range);
-        const int rx = static_cast<int>((idx / n_range) % n_rx);
-        const int tx = static_cast<int>(idx / (static_cast<std::int64_t>(
-                                                   n_range) *
-                                               n_rx));
-        std::vector<Cd> seq(static_cast<std::size_t>(n_chirp));
-        for (int c = 0; c < n_chirp; ++c)
-          seq[static_cast<std::size_t>(c)] =
-              profile_at(tx, rx, c, d) *
-              doppler_window_[static_cast<std::size_t>(c)];
-        auto spec = dsp::fft_shift(dsp::fft(seq));
-        for (int v = 0; v < n_chirp; ++v) {
-          const int k = v - n_chirp / 2;
-          const double comp = -2.0 * kPi * static_cast<double>(k) *
-                              static_cast<double>(tx) /
-                              (static_cast<double>(n_chirp) * n_tx);
-          doppler[((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp +
-                   v) *
-                      n_range +
-                  static_cast<std::size_t>(d)] =
-              spec[static_cast<std::size_t>(v)] * std::polar(1.0, comp);
-        }
-      });
-}
-
-void RadarPipeline::angle_fft_scalar(const IfFrame& frame,
-                                     const Cd* doppler, double f_max,
-                                     RadarCube* cube) const {
-  const int n_rx = frame.num_rx();
-  const int n_chirp = frame.chirps();
-  const int n_range = config_.cube.range_bins;
-  const int n_az = config_.cube.azimuth_bins;
-  const int n_el = config_.cube.elevation_bins;
-  const auto& az_row = array_.azimuth_row();
-  const auto& el_row = array_.elevation_row();
-  auto doppler_at = [&](int tx, int rx, int v, int d) -> Cd {
-    return doppler[((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp +
-                    v) *
-                       n_range +
-                   static_cast<std::size_t>(d)];
-  };
-  const std::int64_t n_cells =
-      static_cast<std::int64_t>(n_chirp) * n_range;
-  parallel_for(
-      0, n_cells, 1,
-      [&](std::int64_t idx) {
-        const int v = static_cast<int>(idx / n_range);
-        const int d = static_cast<int>(idx % n_range);
-        std::vector<Cd> az_sig(az_row.size());
-        std::vector<Cd> el_sig(2);
-        for (std::size_t i = 0; i < az_row.size(); ++i)
-          az_sig[i] = doppler_at(az_row[i].first, az_row[i].second, v, d);
-        // IF phase grows with path length, so elements closer to a target on
-        // the +x side have *smaller* phase: the array response is
-        // exp(-j*2*pi*f*i).  The DFT therefore peaks at -f; sweep the band
-        // from +f_max down to -f_max so bin index increases with theta.
-        auto az_spec = dsp::zoom_fft(az_sig, -f_max, f_max,
-                                     static_cast<std::size_t>(n_az));
-        for (int a = 0; a < n_az; ++a)
-          cube->at(v, d, a) = static_cast<float>(
-              std::log1p(std::abs(az_spec[static_cast<std::size_t>(
-                  n_az - 1 - a)])));
-
-        // Elevation: a 2-element lambda/2 vertical aperture formed by the
-        // overlapping x-span of the base row and the raised TX2 row.
-        Cd row0{};
-        for (std::size_t i = 2; i < 6 && i < az_row.size(); ++i)
-          row0 += doppler_at(az_row[i].first, az_row[i].second, v, d);
-        row0 /= 4.0;
-        Cd row1{};
-        for (const auto& [tx, rx] : el_row) row1 += doppler_at(tx, rx, v, d);
-        row1 /= static_cast<double>(el_row.size());
-        el_sig[0] = row0;
-        el_sig[1] = row1;
-        auto el_spec = dsp::zoom_fft(el_sig, -f_max, f_max,
-                                     static_cast<std::size_t>(n_el));
-        for (int e = 0; e < n_el; ++e)
-          cube->at(v, d, n_az + e) = static_cast<float>(
-              std::log1p(std::abs(el_spec[static_cast<std::size_t>(
-                  n_el - 1 - e)])));
-      });
-}
-
 MMHAND_REALTIME
 void RadarPipeline::process_frame_into(const IfFrame& frame,
                                        RadarCube* out) const {
@@ -395,7 +257,6 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
   const int n_range = config_.cube.range_bins;
   const int n_az = config_.cube.azimuth_bins;
   const int n_el = config_.cube.elevation_bins;
-  const bool vector_isa = simd::active_isa() != simd::Isa::kScalar;
 
   if (obs::metrics_enabled()) {
     // Roofline inputs, credited once per frame from the frame's geometry
@@ -462,14 +323,9 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
   // One Doppler-FFT per (tx, rx, range bin); each index owns the
   // doppler(tx, rx, *, d) column.
   {
-  MMHAND_SPAN("radar/doppler_fft");
-  const std::int64_t n_cols =
-      static_cast<std::int64_t>(n_tx) * n_rx * n_range;
-  const bool vec_doppler =
-      vector_isa && dsp::is_power_of_two(static_cast<std::size_t>(n_chirp));
-  if (!vec_doppler) {
-    doppler_fft_scalar(frame, profiles, doppler);
-  } else {
+    MMHAND_SPAN("radar/doppler_fft");
+    const std::int64_t n_cols =
+        static_cast<std::int64_t>(n_tx) * n_rx * n_range;
     // TDM compensation factors depend only on (tx, doppler bin);
     // recompute the n_tx * n_chirp table into the workspace each frame.
     const std::size_t nc = static_cast<std::size_t>(n_chirp);
@@ -536,7 +392,6 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
         }
     });
   }
-  }
 
   // Angle-FFTs.  The azimuth row is an 8-element lambda/2 ULA; spatial
   // frequency f = d*sin(theta)/lambda = sin(theta)/2 cycles/element.  The
@@ -561,15 +416,9 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
   MMHAND_SPAN("radar/zoom_angle_fft");
   const std::int64_t n_cells =
       static_cast<std::int64_t>(n_chirp) * n_range;
-  if (!vector_isa) {
-    angle_fft_scalar(frame, doppler, f_max, out);
-    return;
-  }
-
-  // Vector path: `width` (v, d) cells share the lane-batched Bluestein
-  // plans — the dominant pre-SIMD cost (per-cell chirp factor and kernel
-  // FFT recomputation) is amortized into the cached plans, and the two
-  // convolution FFTs per cell run across lanes.
+  // `width` (v, d) cells share the lane-batched Bluestein plans: the
+  // per-cell chirp factors and kernel FFT are amortized into the cached
+  // plans, and the two convolution FFTs per cell run across lanes.
   const auto& kernels = simd::kernels();
   const std::size_t width = static_cast<std::size_t>(kernels.width);
   const std::size_t az_n = az_row.size();
@@ -610,6 +459,8 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
         sig_re[i * width + l] = s.real();
         sig_im[i * width + l] = s.imag();
       }
+      // Elevation: a 2-element lambda/2 vertical aperture formed by the
+      // overlapping x-span of the base row and the raised TX2 row.
       Cd row0{};
       for (std::size_t i = 2; i < 6 && i < az_n; ++i)
         row0 += doppler_at(az_row[i].first, az_row[i].second, vs[l], ds[l]);
@@ -623,6 +474,10 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
       el_re[1 * width + l] = row1.real();
       el_im[1 * width + l] = row1.imag();
     }
+    // IF phase grows with path length, so elements closer to a target on
+    // the +x side have *smaller* phase: the array response is
+    // exp(-j*2*pi*f*i).  The DFT therefore peaks at -f; read the band
+    // from +f_max down to -f_max so bin index increases with theta.
     az_plan.run_lanes(sig_re, sig_im, out_re, out_im);
     kernels.vmag(out_re, out_im, mag, na * width);
     for (std::size_t l = 0; l < lanes; ++l)

@@ -40,7 +40,7 @@ class RadarPipeline {
 
   /// Steady-state variant: assembles the cube into `*out`, reusing its
   /// storage when the shape is unchanged, and staging every
-  /// intermediate in grow-on-demand per-thread scratch.  On vector ISAs
+  /// intermediate in grow-on-demand per-thread scratch.  On every ISA
   /// a warmed-up call performs zero heap allocations
   /// (scripts/check_purity.sh asserts this at runtime; `mmhand_lint
   /// --purity` proves it statically from the MMHAND_REALTIME root).
@@ -67,20 +67,6 @@ class RadarPipeline {
   void range_profiles_into(const IfFrame& frame,
                            std::complex<double>* filtered,
                            std::complex<double>* profiles) const;
-
-  /// Scalar-ISA reference stages, split out so their per-item
-  /// allocations (dsp::fft and friends return vectors) stay audited
-  /// cold paths instead of leaking into the hot-path purity closure.
-  /// Op order matches the pre-SIMD pipeline bit-for-bit.
-  void range_fft_scalar(const IfFrame& frame,
-                        const std::complex<double>* filtered,
-                        std::complex<double>* profiles) const;
-  void doppler_fft_scalar(const IfFrame& frame,
-                          const std::complex<double>* profiles,
-                          std::complex<double>* doppler) const;
-  void angle_fft_scalar(const IfFrame& frame,
-                        const std::complex<double>* doppler, double f_max,
-                        RadarCube* cube) const;
 
   ChirpConfig chirp_;
   const AntennaArray& array_;

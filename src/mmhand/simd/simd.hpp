@@ -16,18 +16,19 @@
 // so one vector load fetches element k of every lane.  Single-signal
 // ("soa") kernels vectorize across the element index instead.
 //
-// Numerical contract (DESIGN §9): the scalar ISA never reaches these
-// kernels — dsp/ batch entry points run the original per-signal code
-// verbatim, keeping scalar results bitwise identical to pre-SIMD
-// builds.  Vector ISAs may reassociate and fuse (FMA), and agree with
-// the scalar path to 1e-9 relative on the parity suite.
+// Numerical contract (DESIGN §9): one implementation; the scalar ISA is
+// its width-1 instance.  dsp/ and radar/ run the same lane-batched code
+// on every ISA and only the table differs.  The width-1 table's float
+// radar cube is bitwise the pre-SIMD one (the cube golden pins it);
+// other doubles may move by ulps.  Vector ISAs may reassociate and fuse
+// (FMA), and agree with it to 1e-9 relative on the parity suite.
 
 #include <cstddef>
 
 namespace mmhand::simd {
 
 enum class Isa {
-  kScalar = 0,  ///< reference path; bitwise-stable across builds
+  kScalar = 0,  ///< width-1 kernels; bitwise-stable across builds
   kAvx2 = 1,    ///< x86-64 AVX2+FMA, 4 double lanes
   kNeon = 2,    ///< aarch64 NEON, 2 double lanes
 };

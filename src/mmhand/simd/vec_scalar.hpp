@@ -2,10 +2,10 @@
 
 // Width-1 "vector" backend: plain doubles behind the same interface as
 // vec_avx2/vec_neon, so the generic kernel bodies in kernels_body.inl
-// instantiate unchanged.  This is the table every host can run; it is
-// NOT the bitwise-stable scalar path (dsp/ keeps the original
-// per-signal code for that) — it exists so the function-pointer table
-// is total and so the generic bodies have a reference instantiation.
+// instantiate unchanged.  This is the table every host can run and the
+// one `MMHAND_SIMD=scalar` selects.  fmadd/fmsub are a separate multiply
+// and add, as in the pre-SIMD reference code, so the width-1 radar cube
+// matches that code bitwise (DESIGN §9).
 
 #include <cmath>
 #include <cstddef>

@@ -17,7 +17,6 @@
 #include "mmhand/radar/chirp_config.hpp"
 #include "mmhand/radar/if_simulator.hpp"
 #include "mmhand/radar/pipeline.hpp"
-#include "mmhand/simd/simd.hpp"
 
 namespace mmhand::obs {
 namespace {
@@ -100,10 +99,6 @@ TEST(AllocInterposer, CountsArrayAlignedAndNothrowForms) {
 }
 
 TEST(AllocInterposer, SteadyStateRadarFramesAreAllocationFree) {
-  if (simd::active_isa() == simd::Isa::kScalar)
-    GTEST_SKIP() << "scalar reference path allocates by design "
-                    "(audited in scripts/purity_allowlist.json)";
-
   radar::ChirpConfig chirp;
   chirp.noise_stddev = 0.0;
   const radar::AntennaArray array(chirp);

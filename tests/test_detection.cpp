@@ -1,74 +1,14 @@
-// Tests for the detection path: CA-CFAR and radar point-cloud extraction.
+// Tests for the detection path: radar point-cloud extraction.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "mmhand/dsp/cfar.hpp"
 #include "mmhand/radar/if_simulator.hpp"
 #include "mmhand/radar/point_cloud.hpp"
 
 namespace mmhand {
 namespace {
-
-TEST(Cfar, DetectsPeakAboveNoise) {
-  Rng rng(1);
-  std::vector<double> mag(128);
-  for (auto& v : mag) v = 1.0 + 0.1 * rng.uniform();
-  mag[64] = 8.0;
-  const auto detections = dsp::cfar_1d(mag);
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_EQ(detections[0].index, 64u);
-  EXPECT_NEAR(detections[0].noise_estimate, 1.05, 0.1);
-}
-
-TEST(Cfar, NoFalseAlarmsOnFlatNoise) {
-  Rng rng(2);
-  std::vector<double> mag(256);
-  for (auto& v : mag) v = 1.0 + 0.05 * rng.uniform();
-  EXPECT_TRUE(dsp::cfar_1d(mag).empty());
-}
-
-TEST(Cfar, GuardCellsProtectWidePeaks) {
-  // A 3-cell-wide target: without guard cells its shoulders would inflate
-  // the noise estimate and mask the peak.
-  std::vector<double> mag(64, 1.0);
-  mag[30] = 4.0;
-  mag[31] = 6.0;
-  mag[32] = 4.0;
-  dsp::CfarConfig tight;
-  tight.guard_cells = 0;
-  tight.threshold_factor = 4.0;
-  dsp::CfarConfig guarded;
-  guarded.guard_cells = 2;
-  guarded.threshold_factor = 4.0;
-  const auto without = dsp::cfar_1d(mag, tight);
-  const auto with = dsp::cfar_1d(mag, guarded);
-  EXPECT_GE(with.size(), without.size());
-  bool found = false;
-  for (const auto& d : with) found |= d.index == 31;
-  EXPECT_TRUE(found);
-}
-
-TEST(Cfar, DetectsMultipleSeparatedTargets) {
-  std::vector<double> mag(200, 1.0);
-  mag[40] = 10.0;
-  mag[120] = 7.0;
-  const auto detections = dsp::cfar_1d(mag);
-  ASSERT_EQ(detections.size(), 2u);
-  EXPECT_EQ(detections[0].index, 40u);
-  EXPECT_EQ(detections[1].index, 120u);
-}
-
-TEST(Cfar, RejectsBadConfig) {
-  std::vector<double> mag(16, 1.0);
-  dsp::CfarConfig bad;
-  bad.training_cells = 0;
-  EXPECT_THROW(dsp::cfar_1d(mag, bad), Error);
-  bad = {};
-  bad.threshold_factor = 0.0;
-  EXPECT_THROW(dsp::cfar_1d(mag, bad), Error);
-}
 
 class PointCloudTest : public ::testing::Test {
  protected:

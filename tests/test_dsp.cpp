@@ -182,6 +182,37 @@ TEST(Czt, DegenerateSingleBin) {
   EXPECT_NEAR(std::abs(out[0] - Complex{2.0, 0.0}), 0.0, 1e-10);
 }
 
+TEST(Czt, MatchesDirectZTransformOffTheUnitCircle) {
+  // X_k = sum_i x_i z_k^-i at z_k = a * w^-k, summed directly.  Spirals
+  // with |w| != 1 and |a| != 1 check the chirp factors' magnitudes, not
+  // just their phases.
+  const struct {
+    std::size_t n, m;
+    Complex w, a;
+  } cases[] = {
+      {7, 5, std::polar(1.02, -0.3), std::polar(0.95, 0.4)},
+      {16, 16, std::polar(0.98, -2.0 * kPi / 16.0), std::polar(1.05, 0.1)},
+      {5, 11, std::polar(1.0, -0.17), std::polar(1.0, 0.5)},
+      {12, 3, std::polar(0.97, 0.25), std::polar(1.1, -1.2)},
+  };
+  Rng rng(37);
+  for (const auto& c : cases) {
+    const auto x = random_signal(c.n, rng);
+    const auto got = czt(x, c.m, c.w, c.a);
+    ASSERT_EQ(got.size(), c.m);
+    double scale = 0.0, err = 0.0;
+    for (std::size_t k = 0; k < c.m; ++k) {
+      const Complex z = c.a * std::pow(c.w, -static_cast<double>(k));
+      Complex ref{};
+      for (std::size_t i = 0; i < c.n; ++i)
+        ref += x[i] * std::pow(z, -static_cast<double>(i));
+      scale = std::max(scale, std::abs(ref));
+      err = std::max(err, std::abs(ref - got[k]));
+    }
+    EXPECT_LE(err, 1e-9 * scale) << "n=" << c.n << " m=" << c.m;
+  }
+}
+
 TEST(Window, RectIsAllOnes) {
   const auto w = make_window(WindowType::kRect, 16);
   for (double v : w) EXPECT_DOUBLE_EQ(v, 1.0);

@@ -11,7 +11,6 @@
 #include "mmhand/pose/gesture_classifier.hpp"
 #include "mmhand/pose/joint_model.hpp"
 #include "mmhand/pose/smoothing.hpp"
-#include "mmhand/pose/sequence_matcher.hpp"
 #include "mmhand/eval/csv_export.hpp"
 #include <fstream>
 
@@ -312,81 +311,6 @@ TEST(Dropout, RejectsBadRateAndUntrainedBackward) {
   nn::Dropout drop(0.5, rng);
   (void)drop.forward(random_tensor({1, 4}, rng), false);
   EXPECT_THROW(drop.backward(nn::Tensor::full({1, 4}, 1.0f)), Error);
-}
-
-
-TEST(SequenceMatcher, DtwOfIdenticalSequencesIsZero) {
-  const auto joints = joints_at(0.3);
-  pose::DescriptorSequence seq(5, pose::skeleton_descriptor(joints));
-  EXPECT_NEAR(pose::dtw_distance(seq, seq), 0.0, 1e-12);
-}
-
-TEST(SequenceMatcher, DtwToleratesTimeWarping) {
-  // The same gesture chain at 1x and 2x speed should match closely, and
-  // far better than a different chain.
-  const auto profile = hand::HandProfile::reference();
-  auto chain_frames = [&](const std::vector<hand::Gesture>& chain,
-                          int hold) {
-    pose::DescriptorSequence seq;
-    for (hand::Gesture g : chain) {
-      hand::HandPose pose;
-      pose.fingers = hand::gesture_articulation(g);
-      const auto d = pose::skeleton_descriptor(
-          hand::forward_kinematics(profile, pose));
-      for (int f = 0; f < hold; ++f) seq.push_back(d);
-    }
-    return seq;
-  };
-  const std::vector<hand::Gesture> count_up{hand::Gesture::kPoint,
-                                            hand::Gesture::kCount2,
-                                            hand::Gesture::kCount3};
-  const std::vector<hand::Gesture> fist_open{hand::Gesture::kFist,
-                                             hand::Gesture::kOpenPalm,
-                                             hand::Gesture::kFist};
-  const auto slow = chain_frames(count_up, 6);
-  const auto fast = chain_frames(count_up, 3);
-  const auto other = chain_frames(fist_open, 4);
-  EXPECT_LT(pose::dtw_distance(slow, fast),
-            0.3 * pose::dtw_distance(slow, other));
-}
-
-TEST(SequenceMatcher, MatchesNoisyGestureChains) {
-  pose::SequenceMatcher matcher;
-  matcher.add_template("count-1-2-3",
-                       {hand::Gesture::kPoint, hand::Gesture::kCount2,
-                        hand::Gesture::kCount3});
-  matcher.add_template("pump",
-                       {hand::Gesture::kFist, hand::Gesture::kOpenPalm,
-                        hand::Gesture::kFist});
-  matcher.add_template("pinch-release",
-                       {hand::Gesture::kOpenPalm, hand::Gesture::kPinch,
-                        hand::Gesture::kOpenPalm});
-
-  const auto profile = hand::HandProfile::for_user(2);
-  Rng rng(33);
-  std::vector<hand::JointSet> stream;
-  for (hand::Gesture g : {hand::Gesture::kPoint, hand::Gesture::kCount2,
-                          hand::Gesture::kCount3}) {
-    hand::HandPose pose;
-    pose.fingers = hand::gesture_articulation(g);
-    for (int f = 0; f < 5; ++f) {
-      auto joints = hand::forward_kinematics(profile, pose);
-      for (auto& j : joints)
-        j += Vec3{rng.normal(0, 0.004), rng.normal(0, 0.004),
-                  rng.normal(0, 0.004)};
-      stream.push_back(joints);
-    }
-  }
-  const auto match = matcher.match(stream);
-  EXPECT_EQ(match.name, "count-1-2-3") << "distance " << match.distance;
-}
-
-TEST(SequenceMatcher, RejectsEmptyInputs) {
-  pose::SequenceMatcher matcher;
-  EXPECT_THROW(matcher.match({joints_at(0.3)}), Error);  // no templates
-  matcher.add_template("x", {hand::Gesture::kFist});
-  EXPECT_THROW(matcher.match({}), Error);
-  EXPECT_THROW(matcher.add_template("bad", {}), Error);
 }
 
 TEST(CsvExport, WritesEscapedTable) {

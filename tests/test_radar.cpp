@@ -385,5 +385,15 @@ TEST(Pipeline, RejectsTooManyRangeBins) {
   EXPECT_THROW(RadarPipeline(c, arr, pc), Error);
 }
 
+TEST(Pipeline, RejectsNonPowerOfTwoGeometry) {
+  // The range and Doppler stages are radix-2 lane FFTs only.
+  ChirpConfig c = paper_chirp();
+  c.samples_per_chirp = 48;
+  EXPECT_THROW(RadarPipeline(c, AntennaArray(c), PipelineConfig{}), Error);
+  c = paper_chirp();
+  c.chirps_per_frame = 12;
+  EXPECT_THROW(RadarPipeline(c, AntennaArray(c), PipelineConfig{}), Error);
+}
+
 }  // namespace
 }  // namespace mmhand::radar

@@ -1,7 +1,8 @@
 // Tests for the SIMD layer: ISA dispatch, scalar-vs-vector parity of
 // every vectorized DSP entry point (fft/ifft/fft_real/zoom_fft/
 // filtfilt_batch/magnitude) over randomized sizes, and the bitwise
-// golden pin of the forced-scalar radar pipeline (DESIGN §9).
+// golden pins of the radar pipeline on the scalar (width-1) and AVX2
+// kernels (DESIGN §9).
 
 #include <gtest/gtest.h>
 
@@ -175,7 +176,7 @@ TEST(ScalarSimdParity, FiltfiltBatchOddChannelCounts) {
 }
 
 TEST(ScalarSimdParity, FiltfiltBatchScalarMatchesPerSignalFiltfilt) {
-  // The scalar batch path must be the literal per-signal loop: bitwise.
+  // Width-1 lanes must reproduce the per-signal reference loop: bitwise.
   IsaGuard guard;
   ASSERT_TRUE(simd::set_isa(Isa::kScalar));
   const auto filt = dsp::butterworth_bandpass(4, 0.05, 0.35, 1.0);
@@ -221,13 +222,8 @@ std::uint64_t cube_hash(const std::vector<float>& data) {
   return h;
 }
 
-TEST(ScalarGolden, PipelineCubeIsBitwiseIdenticalToPreSimd) {
-  // Hash captured from the pre-SIMD implementation on this exact scene
-  // (commit before the simd/ layer landed).  MMHAND_SIMD=scalar promises
-  // bitwise identity with that build — any drift here is a contract
-  // violation, not a tolerance issue.
-  IsaGuard guard;
-  ASSERT_TRUE(simd::set_isa(Isa::kScalar));
+/// Radar cube hash of the two-target golden scene under the active ISA.
+std::uint64_t golden_scene_cube_hash() {
   radar::ChirpConfig chirp;
   chirp.noise_stddev = 0.0;
   const radar::AntennaArray array(chirp);
@@ -240,8 +236,28 @@ TEST(ScalarGolden, PipelineCubeIsBitwiseIdenticalToPreSimd) {
   Rng rng(11);
   const auto frame = sim.simulate_frame(scene, 0.0, rng);
   const auto cube = pipe.process_frame(frame);
-  ASSERT_EQ(cube.data().size(), 9216u);
-  EXPECT_EQ(cube_hash(cube.data()), 0x110a873cc75a1e10ull);
+  EXPECT_EQ(cube.data().size(), 9216u);
+  return cube_hash(cube.data());
+}
+
+TEST(ScalarGolden, PipelineCubeIsBitwiseIdenticalToPreSimd) {
+  // Hash captured from the pre-SIMD implementation on this exact scene
+  // (commit before the simd/ layer landed).  MMHAND_SIMD=scalar promises
+  // bitwise identity with that build — any drift here is a contract
+  // violation, not a tolerance issue.
+  IsaGuard guard;
+  ASSERT_TRUE(simd::set_isa(Isa::kScalar));
+  EXPECT_EQ(golden_scene_cube_hash(), 0x110a873cc75a1e10ull);
+}
+
+TEST(VectorGolden, PipelineCubeHashUnchanged) {
+  // Same scene on the AVX2 kernels.  The scalar golden cannot see a
+  // change to the shared lane code that only alters wider lanes (lane
+  // grouping, tail handling, FMA order); this pin does.
+  if (!simd::isa_supported(Isa::kAvx2)) GTEST_SKIP() << "no AVX2";
+  IsaGuard guard;
+  ASSERT_TRUE(simd::set_isa(Isa::kAvx2));
+  EXPECT_EQ(golden_scene_cube_hash(), 0x11cae44857bcd544ull);
 }
 
 TEST(VectorPipeline, CubeMatchesScalarWithinTolerance) {

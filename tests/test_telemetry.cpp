@@ -211,7 +211,10 @@ TEST(TelemetryWindow, StageStatsAreWindowedAndMonotone) {
   h.record(50.0);
   obs::telemetry_sample_now();
   {
-    const Value* mine = newest_record().find("stages")->find("test/tel.stage");
+    const Value v = newest_record();
+    const Value* st = v.find("stages");
+    ASSERT_NE(st, nullptr);
+    const Value* mine = st->find("test/tel.stage");
     ASSERT_NE(mine, nullptr);
     EXPECT_EQ(mine->number_or("count", -1), 1.0);
   }

@@ -506,17 +506,9 @@ PurityConfig default_purity_config() {
   add("dsp::zoom_plan", "lock-free list walk; cold build path only");
   add("dsp::czt_scratch", "grow-on-demand thread-local scratch");
   add("dsp::biquad_scratch", "grow-on-demand thread-local scratch");
-  add("dsp::SosFilter::filtfilt",
-      "scalar-ISA reference path; the vector path is allocation-free");
   add("radar::stage_scratch", "grow-on-demand thread-local scratch");
   add("radar::frame_workspace", "grow-on-demand thread-local workspace");
   add("radar::RadarCube::reset", "grow-only storage reuse");
-  add("radar::RadarPipeline::range_fft_scalar",
-      "scalar-ISA reference path (per-item dsp::fft vectors)");
-  add("radar::RadarPipeline::doppler_fft_scalar",
-      "scalar-ISA reference path (per-item dsp::fft vectors)");
-  add("radar::RadarPipeline::angle_fft_scalar",
-      "scalar-ISA reference path (per-item dsp::zoom_fft vectors)");
   add("nn::im2col_scratch", "grow-on-demand thread-local scratch");
   add("obs::site_name_id",
       "cold name-interning path; steady state is two atomic loads");

@@ -5,7 +5,7 @@
 // Drives warmed-up steady-state radar frames through
 // RadarPipeline::process_frame_into with the operator-new interposer
 // (obs/alloc) counting, and asserts the per-frame allocation delta is
-// exactly zero on vector ISAs.  This closes the static analyzer's blind
+// exactly zero on every ISA.  This closes the static analyzer's blind
 // spots (`mmhand_lint --purity` cannot see allocation behind value
 // construction or function pointers); together the two prove the claim
 // in DESIGN.md §12.
@@ -17,9 +17,7 @@
 // serving layer relies on for allocation-free steady-state batching.
 //
 // Exit status: 0 when steady-state radar frames and pose forwards
-// allocate nothing (radar is exempt on the scalar ISA, whose reference
-// path allocates by design and is audited in
-// scripts/purity_allowlist.json); 1 otherwise.
+// allocate nothing, on every ISA; 1 otherwise.
 
 #include <cstdio>
 #include <cstdlib>
@@ -90,9 +88,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mmhand_purity_probe: bad --frames/--warmup\n");
     return 2;
   }
-
-  const bool vector_isa =
-      mmhand::simd::active_isa() != mmhand::simd::Isa::kScalar;
 
   // Paper-shaped frame, as in bench_throughput.
   mmhand::radar::ChirpConfig chirp;
@@ -166,7 +161,7 @@ int main(int argc, char** argv) {
 
   const bool radar_clean = radar.allocs == 0;
   const bool pose_clean = pose.allocs == 0;
-  const bool pass = (radar_clean || !vector_isa) && pose_clean;
+  const bool pass = radar_clean && pose_clean;
 
   if (json) {
     std::printf(
