@@ -198,8 +198,7 @@ Tensor ConvTranspose2d::forward(const Tensor& x, bool training) {
   // serial arithmetic, so results do not depend on N or the thread count.
   parallel_for(0, n, 1, [&](std::int64_t s64) {
     const int s = static_cast<int>(s64);
-    // cols [pixels x taps] = x_s^T * W_flat [IC x taps].  The input is the
-    // A operand so gemm skips its zeros (post-ReLU maps are sparse).
+    // cols [pixels x taps] = x_s^T * W_flat [IC x taps].
     const std::size_t cols_len = static_cast<std::size_t>(pixels) * taps;
     float* cols = im2col_scratch(cols_len);
     for (std::size_t i = 0; i < cols_len; ++i) cols[i] = 0.0f;

@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/obs/metrics.hpp"
 #include "mmhand/obs/trace.hpp"
+#include "mmhand/simd/simd.hpp"
 
 namespace mmhand::nn {
 
 namespace {
 
-/// Call/FLOP/byte accounting for every GEMM variant.  Disabled cost:
+/// Call/FLOP/byte accounting for every GEMM layout.  Disabled cost:
 /// one relaxed atomic load; enabled cost: three sharded relaxed adds.
 /// Bytes are the compulsory-traffic estimate (read A and B once, read+
 /// write C once, 4-byte floats) that `mmhand_report --roofline` divides
@@ -28,157 +30,98 @@ inline void note_gemm(std::int64_t m, std::int64_t k, std::int64_t n) {
   bytes.add(4 * (m * k + k * n + 2 * m * n));
 }
 
-// Register/cache blocking.  kMB rows of C per task keep a packed stripe of
-// A in L1 while a [kKB x kNB] tile of B (128 KiB at floats) streams through
-// L2; tasks are whole C tiles so each output element has exactly one
-// writer.
-constexpr int kMB = 16;
-constexpr int kKB = 128;
-constexpr int kNB = 256;
-
 // Minimum flops per parallel task; below this the dispatch overhead wins
 // and `parallel_for` collapses to the serial path via its grain check.
 constexpr std::int64_t kMinChunkFlops = 1 << 15;
 
-int num_blocks(int extent, int block) { return (extent + block - 1) / block; }
+/// Strided operand view: element (r, c) lives at p[r*rs + c*cs], so one
+/// packing loop reads a row-major matrix and a transposed one alike.
+struct View {
+  const float* p;
+  std::size_t rs, cs;
+};
 
-/// Tiles per parallel task so each task carries at least kMinChunkFlops.
-std::int64_t tile_grain(std::int64_t flops_per_tile) {
-  return std::max<std::int64_t>(
-      1, (kMinChunkFlops + flops_per_tile - 1) / std::max<std::int64_t>(
-                                                     1, flops_per_tile));
+/// Per-thread packing buffers, grown on demand: slot 0 holds the calling
+/// thread's A panels, slot 1 the B panel of the task it runs.
+/// Steady-state inference allocates nothing here (audited in
+/// scripts/purity_allowlist.json).
+float* pack_scratch(int slot, std::size_t floats) {
+  thread_local std::vector<float> buf[2];
+  std::vector<float>& v = buf[slot];
+  if (v.size() < floats) v.resize(floats);
+  return v.data();
+}
+
+/// Packs `width` lines of a k-deep panel: dst[p*width + j] = line j at
+/// depth p, read from src[j*line + p*depth], zero past line `valid`.
+/// Depth is walked in L1-sized blocks so the strided stores stay cached.
+void pack_panel(const float* src, std::size_t line, std::size_t depth,
+                int valid, int width, int k, float* dst) {
+  constexpr int kDepthBlock = 128;
+  for (int p0 = 0; p0 < k; p0 += kDepthBlock) {
+    const int p1 = std::min(k, p0 + kDepthBlock);
+    for (int j = 0; j < width; ++j) {
+      float* d = dst + j;
+      if (j >= valid) {
+        for (int p = p0; p < p1; ++p) d[p * width] = 0.0f;
+        continue;
+      }
+      const float* s = src + j * line;
+      for (int p = p0; p < p1; ++p) d[p * width] = s[p * depth];
+    }
+  }
+}
+
+/// C[m x n] += A[m x k] * B[k x n] through the active ISA's tile kernel.
+/// A is packed once into zero-padded gemm_mr-row panels; each task owns
+/// one gemm_nr-column panel of C and reads B in place when its rows are
+/// contiguous and the panel is full, else packs it zero-padded.  The
+/// kernel gives every element the same ascending-k FMA chain wherever
+/// its tile sits, so results do not depend on m, n or the thread count.
+void gemm_strided(View a, View b, float* c, int m, int k, int n) {
+  note_gemm(m, k, n);
+  MMHAND_SPAN("nn/gemm");
+  const simd::Kernels* kern = &simd::kernels();
+  const int mr = kern->gemm_mr, nr = kern->gemm_nr;
+  const int padded_m = (m + mr - 1) / mr * mr;
+  float* ap = pack_scratch(0, static_cast<std::size_t>(padded_m) * k);
+  for (int i0 = 0; i0 < padded_m; i0 += mr)
+    pack_panel(a.p + i0 * a.rs, a.rs, a.cs, m - i0, mr, k,
+               ap + static_cast<std::size_t>(i0) * k);
+  const std::int64_t panel_flops = 2ll * m * k * nr + 1;
+  const std::int64_t grain =
+      std::max<std::int64_t>(1, kMinChunkFlops / panel_flops);
+  parallel_for(0, (n + nr - 1) / nr, grain, [=](std::int64_t jp) {
+    const int j0 = static_cast<int>(jp) * nr;
+    const int cols = std::min(nr, n - j0);
+    if (b.cs == 1 && cols == nr) {
+      kern->gemm_panel(ap, b.p + j0, b.rs, c + j0, n, m, cols, k);
+      return;
+    }
+    float* bp = pack_scratch(1, static_cast<std::size_t>(k) * nr);
+    pack_panel(b.p + j0 * b.cs, b.cs, b.rs, cols, nr, k, bp);
+    kern->gemm_panel(ap, bp, nr, c + j0, n, m, cols, k);
+  });
 }
 
 }  // namespace
 
 void gemm_acc(const float* a, const float* b, float* c, int m, int k,
               int n) {
-  note_gemm(m, k, n);
-  MMHAND_SPAN("nn/gemm");
-  // Split C along its larger dimension so small-m multiplies (e.g. Conv2d
-  // with few output channels but a wide im2col matrix) still fan out.  For
-  // any split the k-loop order per output element is fixed (pp then p,
-  // ascending), so results are thread-count invariant.
-  if (m >= n / 2) {
-    const std::int64_t grain = tile_grain(2ll * kMB * k * n);
-    parallel_for(0, num_blocks(m, kMB), grain, [=](std::int64_t bi) {
-      const int i0 = static_cast<int>(bi) * kMB;
-      const int i1 = std::min(m, i0 + kMB);
-      for (int jj = 0; jj < n; jj += kNB) {
-        const int j1 = std::min(n, jj + kNB);
-        for (int pp = 0; pp < k; pp += kKB) {
-          const int p1 = std::min(k, pp + kKB);
-          for (int i = i0; i < i1; ++i) {
-            const float* ai = a + static_cast<std::size_t>(i) * k;
-            float* ci = c + static_cast<std::size_t>(i) * n;
-            for (int p = pp; p < p1; ++p) {
-              const float av = ai[p];
-              if (av == 0.0f) continue;
-              const float* bp = b + static_cast<std::size_t>(p) * n;
-              for (int j = jj; j < j1; ++j) ci[j] += av * bp[j];
-            }
-          }
-        }
-      }
-    });
-  } else {
-    const std::int64_t grain = tile_grain(2ll * m * k * kNB);
-    parallel_for(0, num_blocks(n, kNB), grain, [=](std::int64_t bj) {
-      const int j0 = static_cast<int>(bj) * kNB;
-      const int j1 = std::min(n, j0 + kNB);
-      for (int pp = 0; pp < k; pp += kKB) {
-        const int p1 = std::min(k, pp + kKB);
-        for (int i = 0; i < m; ++i) {
-          const float* ai = a + static_cast<std::size_t>(i) * k;
-          float* ci = c + static_cast<std::size_t>(i) * n;
-          for (int p = pp; p < p1; ++p) {
-            const float av = ai[p];
-            if (av == 0.0f) continue;
-            const float* bp = b + static_cast<std::size_t>(p) * n;
-            for (int j = j0; j < j1; ++j) ci[j] += av * bp[j];
-          }
-        }
-      }
-    });
-  }
+  gemm_strided({a, static_cast<std::size_t>(k), 1},
+               {b, static_cast<std::size_t>(n), 1}, c, m, k, n);
 }
 
 void gemm_at_b_acc(const float* a, const float* b, float* c, int m, int k,
                    int n) {
-  note_gemm(m, k, n);
-  MMHAND_SPAN("nn/gemm");
-  const std::int64_t grain = tile_grain(2ll * kMB * k * n);
-  parallel_for(0, num_blocks(m, kMB), grain, [=](std::int64_t bi) {
-    const int i0 = static_cast<int>(bi) * kMB;
-    const int i1 = std::min(m, i0 + kMB);
-    for (int pp = 0; pp < k; pp += kKB) {
-      const int p1 = std::min(k, pp + kKB);
-      for (int i = i0; i < i1; ++i) {
-        float* ci = c + static_cast<std::size_t>(i) * n;
-        for (int p = pp; p < p1; ++p) {
-          const float av = a[static_cast<std::size_t>(p) * m + i];
-          if (av == 0.0f) continue;
-          const float* bp = b + static_cast<std::size_t>(p) * n;
-          for (int j = 0; j < n; ++j) ci[j] += av * bp[j];
-        }
-      }
-    }
-  });
+  gemm_strided({a, 1, static_cast<std::size_t>(m)},
+               {b, static_cast<std::size_t>(n), 1}, c, m, k, n);
 }
 
 void gemm_a_bt_acc(const float* a, const float* b, float* c, int m, int k,
                    int n) {
-  note_gemm(m, k, n);
-  MMHAND_SPAN("nn/gemm");
-  // Dot-product form: every output is one full-length k scan, accumulated
-  // in a scalar before touching C, so k-blocking is unnecessary and the
-  // summation order is trivially fixed.
-  if (m >= n / 2) {
-    const std::int64_t grain = tile_grain(2ll * kMB * k * n);
-    parallel_for(0, num_blocks(m, kMB), grain, [=](std::int64_t bi) {
-      const int i0 = static_cast<int>(bi) * kMB;
-      const int i1 = std::min(m, i0 + kMB);
-      for (int i = i0; i < i1; ++i) {
-        const float* ai = a + static_cast<std::size_t>(i) * k;
-        float* ci = c + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) {
-          const float* bj = b + static_cast<std::size_t>(j) * k;
-          float acc = 0.0f;
-          for (int p = 0; p < k; ++p) acc += ai[p] * bj[p];
-          ci[j] += acc;
-        }
-      }
-    });
-  } else {
-    const std::int64_t grain = tile_grain(2ll * m * k * kNB);
-    parallel_for(0, num_blocks(n, kNB), grain, [=](std::int64_t blk) {
-      const int j0 = static_cast<int>(blk) * kNB;
-      const int j1 = std::min(n, j0 + kNB);
-      for (int i = 0; i < m; ++i) {
-        const float* ai = a + static_cast<std::size_t>(i) * k;
-        float* ci = c + static_cast<std::size_t>(i) * n;
-        for (int j = j0; j < j1; ++j) {
-          const float* bj = b + static_cast<std::size_t>(j) * k;
-          float acc = 0.0f;
-          for (int p = 0; p < k; ++p) acc += ai[p] * bj[p];
-          ci[j] += acc;
-        }
-      }
-    });
-  }
-}
-
-void gemv_acc(const float* a, const float* x, float* y, int m, int k) {
-  note_gemm(m, k, 1);
-  MMHAND_SPAN("nn/gemm");
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, kMinChunkFlops / (2 * std::max(k, 1)));
-  parallel_for(0, m, grain, [=](std::int64_t i) {
-    const float* ai = a + static_cast<std::size_t>(i) * k;
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) acc += ai[p] * x[p];
-    y[i] += acc;
-  });
+  gemm_strided({a, static_cast<std::size_t>(k), 1},
+               {b, 1, static_cast<std::size_t>(k)}, c, m, k, n);
 }
 
 }  // namespace mmhand::nn

@@ -1,14 +1,20 @@
 #pragma once
 
-// Shared SGEMM kernels for the NN hot path.
+// Shared SGEMM for the NN hot path.
 //
-// One cache-blocked, row-parallel matrix multiply backs Conv2d (im2col),
-// Linear, and the LSTM/GRU gate projections instead of per-layer ad-hoc
-// loops.  All matrices are row-major and dense.  Every kernel *accumulates*
-// into C (callers pre-fill C with the bias or zeros), and every kernel is
-// deterministic: threads partition rows of C, and for a fixed output
-// element the k-summation order never depends on the thread count, so
-// results are bitwise identical at any `mmhand::num_threads()`.
+// One packed-panel routine over the `simd::Kernels` float tile kernel
+// backs Conv2d (im2col), ConvTranspose2d, Linear, and the LSTM/GRU gate
+// projections, single-sample recurrent steps included.  All matrices are
+// row-major and dense; the three entry points differ only in which
+// operand strides it packs through.  Every call *accumulates*
+// into C (callers pre-fill C with the bias or zeros).
+//
+// Numerical contract (DESIGN §9, §13): on every ISA each output element
+// is C_in + (an FMA chain from 0 over k = 0..K-1 in ascending order).
+// The value of an element does not depend on m, n, its tile position or
+// `mmhand::num_threads()`, so a row of a batched product equals the
+// single-row product bitwise.  The width-1 (scalar) table's FMA is an
+// unfused multiply-add, so outputs differ across ISAs by ulps.
 
 namespace mmhand::nn {
 
@@ -25,9 +31,5 @@ void gemm_at_b_acc(const float* a, const float* b, float* c, int m, int k,
 /// dW = dY * cols^T).
 void gemm_a_bt_acc(const float* a, const float* b, float* c, int m, int k,
                    int n);
-
-/// y[m] += A[m x k] * x[k].  Row-parallel matrix-vector product for the
-/// recurrent (per-timestep) gate projections.
-void gemv_acc(const float* a, const float* x, float* y, int m, int k);
 
 }  // namespace mmhand::nn

@@ -34,7 +34,7 @@ Tensor Gru::forward(const Tensor& x, bool training) {
 
   // Input pre-activations for every timestep in one GEMM; the recurrent
   // half (the candidate uses r . (W_hh h + b_hh), so the two stay separate)
-  // remains a per-step matrix-vector product.
+  // remains a per-step single-row GEMM.
   Tensor pre_all({t_len, 3 * h});
   for (int t = 0; t < t_len; ++t) {
     float* pt = pre_all.data() + static_cast<std::size_t>(t) * 3 * h;
@@ -52,7 +52,7 @@ Tensor Gru::forward(const Tensor& x, bool training) {
     for (int r = 0; r < 3 * h; ++r)
       hh[static_cast<std::size_t>(r)] =
           bias_hh_.value[static_cast<std::size_t>(r)];
-    gemv_acc(w_hh_.value.data(), h_prev.data(), hh.data(), 3 * h, h);
+    gemm_a_bt_acc(h_prev.data(), w_hh_.value.data(), hh.data(), 1, h, 3 * h);
     float* gt = gates.data() + static_cast<std::size_t>(t) * 3 * h;
     float* nh = hh_n.data() + static_cast<std::size_t>(t) * h;
     float* ht = hiddens.data() + static_cast<std::size_t>(t) * h;

@@ -72,7 +72,7 @@ Tensor Lstm::forward(const Tensor& x, bool training) {
     // Pre-activations: (W_ih x + b) batched above, plus W_hh h_prev.
     const float* pt = pre.data() + static_cast<std::size_t>(t) * 4 * h;
     std::copy(pt, pt + 4 * h, gt);
-    gemv_acc(w_hh_.value.data(), h_prev, gt, 4 * h, h);
+    gemm_a_bt_acc(h_prev, w_hh_.value.data(), gt, 1, h, 4 * h);
     // Activations and state update.
     float* ct = cells.data() + static_cast<std::size_t>(t) * h;
     float* ht = hiddens.data() + static_cast<std::size_t>(t) * h;
@@ -135,9 +135,9 @@ Tensor Lstm::forward_sequences(const Tensor& x, int sequences) {
   for (int t = 0; t < t_len; ++t) {
     // Gather this timestep's pre-activations into a contiguous [B, 4H]
     // block, then add the recurrent projection for all samples at once.
-    // gemm_a_bt_acc accumulates each output as one ascending-k scalar
-    // dot product — the same order gemv_acc uses in the single-sample
-    // path, so the sums round identically.
+    // gemm gives each output element the same ascending-k FMA chain
+    // whatever the row count, so each sample's row rounds exactly as
+    // the single-sample pass's m = 1 call does.
     for (int b = 0; b < bsz; ++b) {
       const float* pt =
           pre.data() +

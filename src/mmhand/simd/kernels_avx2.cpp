@@ -11,7 +11,9 @@
 #if defined(__AVX2__) && defined(__FMA__)
 
 #define MMHAND_SIMD_VEC VAvx2
+#define MMHAND_SIMD_FVEC VAvx2F
 #include "mmhand/simd/kernels_body.inl"
+#undef MMHAND_SIMD_FVEC
 #undef MMHAND_SIMD_VEC
 
 namespace mmhand::simd {

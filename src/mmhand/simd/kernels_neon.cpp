@@ -9,7 +9,9 @@
 #if defined(__aarch64__)
 
 #define MMHAND_SIMD_VEC VNeon
+#define MMHAND_SIMD_FVEC VNeonF
 #include "mmhand/simd/kernels_body.inl"
+#undef MMHAND_SIMD_FVEC
 #undef MMHAND_SIMD_VEC
 
 namespace mmhand::simd {

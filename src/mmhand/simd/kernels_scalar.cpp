@@ -5,7 +5,9 @@
 #include "mmhand/simd/vec_scalar.hpp"
 
 #define MMHAND_SIMD_VEC VScalar
+#define MMHAND_SIMD_FVEC VScalarF
 #include "mmhand/simd/kernels_body.inl"
+#undef MMHAND_SIMD_FVEC
 #undef MMHAND_SIMD_VEC
 
 namespace mmhand::simd {

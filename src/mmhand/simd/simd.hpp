@@ -1,16 +1,17 @@
 #pragma once
 
-// Portable SIMD layer for the DSP hot path.
+// Portable SIMD layer for the DSP hot path and the NN GEMM kernel.
 //
 // One function-pointer table (`Kernels`) per instruction set; the
 // active table is chosen once by runtime CPU detection and can be
 // overridden with the `MMHAND_SIMD` environment variable
 // (`auto|avx2|neon|scalar`) or `set_isa()` from tests.  Callers above
-// this layer (dsp/, radar/) never touch intrinsics — the
+// this layer (dsp/, radar/, nn/gemm) never touch intrinsics — the
 // `simd-confinement` lint rule keeps raw `_mm*`/`vld1q*` identifiers
 // inside src/mmhand/simd/.
 //
-// Data layout: all kernels work on split-complex (SoA) double arrays.
+// Data layout: the DSP kernels work on split-complex (SoA) double
+// arrays; the GEMM tile kernel (`gemm_panel`) on float panels.
 // Lane-batched ("lanes") kernels interleave `width` independent
 // signals element-major: element k of lane l lives at [k*width + l],
 // so one vector load fetches element k of every lane.  Single-signal
@@ -21,7 +22,10 @@
 // on every ISA and only the table differs.  The width-1 table's float
 // radar cube is bitwise the pre-SIMD one (the cube golden pins it);
 // other doubles may move by ulps.  Vector ISAs may reassociate and fuse
-// (FMA), and agree with it to 1e-9 relative on the parity suite.
+// (FMA), and agree with it to 1e-9 relative on the parity suite.  The
+// GEMM tile kernel gives every output element one fmadd chain from 0
+// over ascending k on every ISA; the width-1 fmadd is unfused, so NN
+// outputs differ across ISAs by ulps.
 
 #include <cstddef>
 
@@ -97,6 +101,18 @@ struct Kernels {
   /// out[j] = sqrt(re[j]^2 + im[j]^2) for j < count.
   void (*vmag)(const double* re, const double* im, double* out,
                std::size_t count);
+
+  /// Float GEMM tile kernel: C[m x n] += A * B for one B panel of
+  /// gemm_nr columns.  Element (p, j) of the panel is b[p*ldb + j];
+  /// `a` is ceil(m/gemm_mr) packed A panels, each k x gemm_mr (element
+  /// (i, p) of panel q at a[(q*k + p)*gemm_mr + i]), zero-padded past
+  /// row m; C is row-major with row stride ldc and n <= gemm_nr.  Every
+  /// element becomes C + (fmadd chain from 0 over ascending p), whatever
+  /// its tile position.
+  void (*gemm_panel)(const float* a, const float* b, std::size_t ldb,
+                     float* c, std::size_t ldc, int m, int n, int k);
+  int gemm_mr = 1;
+  int gemm_nr = 1;
 };
 
 /// Kernel table for the active ISA.

@@ -1,10 +1,11 @@
 #pragma once
 
-// AVX2 backend: 4 double lanes.  The whole header is guarded on
-// __AVX2__ so it stays self-contained in translation units compiled
-// without -mavx2 (the header-lint gate builds every header standalone
-// with the base toolchain flags); only kernels_avx2.cpp, which gets
-// per-file -mavx2 -mfma, sees the contents.
+// AVX2 backend: 4 double lanes, 8 float lanes for GEMM.  The whole
+// header is guarded on __AVX2__ so it stays self-contained in
+// translation units compiled without -mavx2 (the header-lint gate
+// builds every header standalone with the base toolchain flags); only
+// kernels_avx2.cpp, which gets per-file -mavx2 -mfma, sees the
+// contents.
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -42,6 +43,26 @@ struct VAvx2 {
     return {_mm256_fmsub_pd(a.v, b.v, c.v)};
   }
   static VAvx2 sqrt(VAvx2 a) { return {_mm256_sqrt_pd(a.v)}; }
+};
+
+/// 8 float lanes for the GEMM tile kernel.
+struct VAvx2F {
+  static constexpr int kWidth = 8;
+  __m256 v;
+
+  static VAvx2F load(const float* p) { return {_mm256_loadu_ps(p)}; }
+  void store(float* p) const { _mm256_storeu_ps(p, v); }
+  static VAvx2F broadcast(float x) { return {_mm256_set1_ps(x)}; }
+  static VAvx2F zero() { return {_mm256_setzero_ps()}; }
+
+  friend VAvx2F operator+(VAvx2F a, VAvx2F b) {
+    return {_mm256_add_ps(a.v, b.v)};
+  }
+
+  /// a*b + c
+  static VAvx2F fmadd(VAvx2F a, VAvx2F b, VAvx2F c) {
+    return {_mm256_fmadd_ps(a.v, b.v, c.v)};
+  }
 };
 
 }  // namespace mmhand::simd

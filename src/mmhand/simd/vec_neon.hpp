@@ -1,8 +1,8 @@
 #pragma once
 
-// NEON backend: 2 double lanes (aarch64 only; AArch32 NEON lacks
-// float64x2 arithmetic).  Guarded so the header stays self-contained
-// on other architectures.
+// NEON backend: 2 double lanes, 4 float lanes for GEMM (aarch64 only;
+// AArch32 NEON lacks float64x2 arithmetic).  Guarded so the header
+// stays self-contained on other architectures.
 
 #if defined(__aarch64__)
 
@@ -34,6 +34,24 @@ struct VNeon {
     return {vnegq_f64(vfmsq_f64(c.v, a.v, b.v))};
   }
   static VNeon sqrt(VNeon a) { return {vsqrtq_f64(a.v)}; }
+};
+
+/// 4 float lanes for the GEMM tile kernel.
+struct VNeonF {
+  static constexpr int kWidth = 4;
+  float32x4_t v;
+
+  static VNeonF load(const float* p) { return {vld1q_f32(p)}; }
+  void store(float* p) const { vst1q_f32(p, v); }
+  static VNeonF broadcast(float x) { return {vdupq_n_f32(x)}; }
+  static VNeonF zero() { return {vdupq_n_f32(0.0f)}; }
+
+  friend VNeonF operator+(VNeonF a, VNeonF b) { return {vaddq_f32(a.v, b.v)}; }
+
+  /// a*b + c
+  static VNeonF fmadd(VNeonF a, VNeonF b, VNeonF c) {
+    return {vfmaq_f32(c.v, a.v, b.v)};
+  }
 };
 
 }  // namespace mmhand::simd

@@ -36,4 +36,22 @@ struct VScalar {
   static VScalar sqrt(VScalar a) { return {std::sqrt(a.v)}; }
 };
 
+/// Float twin for the GEMM tile kernel; fmadd is unfused here too.
+struct VScalarF {
+  static constexpr int kWidth = 1;
+  float v;
+
+  static VScalarF load(const float* p) { return {*p}; }
+  void store(float* p) const { *p = v; }
+  static VScalarF broadcast(float x) { return {x}; }
+  static VScalarF zero() { return {0.0f}; }
+
+  friend VScalarF operator+(VScalarF a, VScalarF b) { return {a.v + b.v}; }
+
+  /// a*b + c
+  static VScalarF fmadd(VScalarF a, VScalarF b, VScalarF c) {
+    return {a.v * b.v + c.v};
+  }
+};
+
 }  // namespace mmhand::simd

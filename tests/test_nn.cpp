@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "mmhand/nn/activations.hpp"
 #include "mmhand/nn/attention.hpp"
 #include "mmhand/nn/conv2d.hpp"
+#include "mmhand/nn/gemm.hpp"
 #include "mmhand/nn/gradcheck.hpp"
 #include "mmhand/nn/layer_norm.hpp"
 #include "mmhand/nn/linear.hpp"
@@ -16,6 +21,7 @@
 #include "mmhand/nn/lstm.hpp"
 #include "mmhand/nn/optimizer.hpp"
 #include "mmhand/nn/sequential.hpp"
+#include "mmhand/simd/simd.hpp"
 
 namespace mmhand::nn {
 namespace {
@@ -62,6 +68,166 @@ TEST(Tensor, Arithmetic) {
   EXPECT_FLOAT_EQ(a[0], 11.0f);
   a.scale_(0.5f);
   EXPECT_FLOAT_EQ(a[0], 5.5f);
+}
+
+// ---- nn/gemm: the three layouts against a double oracle, per ISA table.
+
+enum class GemmLayout { kAB, kAtB, kABt };
+constexpr GemmLayout kGemmLayouts[] = {GemmLayout::kAB, GemmLayout::kAtB,
+                                       GemmLayout::kABt};
+
+const char* layout_name(GemmLayout layout) {
+  switch (layout) {
+    case GemmLayout::kAB:
+      return "gemm_acc";
+    case GemmLayout::kAtB:
+      return "gemm_at_b_acc";
+    case GemmLayout::kABt:
+      return "gemm_a_bt_acc";
+  }
+  return "?";
+}
+
+std::vector<float> uniform_floats(std::size_t count, Rng& rng) {
+  std::vector<float> v(count);
+  for (float& x : v) x = static_cast<float>(rng.uniform(-0.5, 0.5));
+  return v;
+}
+
+/// [rows x cols] row-major -> [cols x rows] row-major.
+std::vector<float> transposed(const std::vector<float>& x, int rows,
+                              int cols) {
+  std::vector<float> t(x.size());
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < cols; ++c)
+      t[static_cast<std::size_t>(c) * rows + r] =
+          x[static_cast<std::size_t>(r) * cols + c];
+  return t;
+}
+
+/// C_in + A*B for row-major A [m x k] and B [k x n], with each operand
+/// stored the way `layout` expects it.
+std::vector<float> run_gemm(GemmLayout layout, const std::vector<float>& a,
+                            const std::vector<float>& b,
+                            std::vector<float> c, int m, int k, int n) {
+  switch (layout) {
+    case GemmLayout::kAB:
+      gemm_acc(a.data(), b.data(), c.data(), m, k, n);
+      break;
+    case GemmLayout::kAtB:
+      gemm_at_b_acc(transposed(a, m, k).data(), b.data(), c.data(), m, k, n);
+      break;
+    case GemmLayout::kABt:
+      gemm_a_bt_acc(a.data(), transposed(b, k, n).data(), c.data(), m, k, n);
+      break;
+  }
+  return c;
+}
+
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return out;
+}
+
+/// Every kernel table this host can run (scalar always, AVX2/NEON when
+/// supported); each test pins them in turn and restores the active one.
+std::vector<simd::Isa> gemm_isas() {
+  std::vector<simd::Isa> isas;
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon})
+    if (simd::kernels_for(isa) != nullptr) isas.push_back(isa);
+  return isas;
+}
+
+class GemmPerIsa : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::set_isa(saved_); }
+  const simd::Isa saved_ = simd::active_isa();
+};
+
+TEST_F(GemmPerIsa, MatchesDoubleOracleOnEdgeShapes) {
+  ASSERT_EQ(gemm_isas().front(), simd::Isa::kScalar);
+  Rng rng(31);
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    for (int m : {1, 5, 6, 7, 13})
+      for (int n : {1, 15, 16, 17, 40})
+        for (int k : {0, 1, 7, 300}) {
+          const auto a = uniform_floats(m * k, rng);
+          const auto b = uniform_floats(k * n, rng);
+          const auto c = uniform_floats(m * n, rng);
+          std::vector<double> ref(c.begin(), c.end());
+          for (int i = 0; i < m; ++i)
+            for (int j = 0; j < n; ++j)
+              for (int p = 0; p < k; ++p)
+                ref[i * n + j] +=
+                    static_cast<double>(a[i * k + p]) * b[p * n + j];
+          for (GemmLayout layout : kGemmLayouts) {
+            const auto out = run_gemm(layout, a, b, c, m, k, n);
+            double err = 0.0;
+            for (std::size_t i = 0; i < ref.size(); ++i)
+              err = std::max(err, std::abs(out[i] - ref[i]));
+            EXPECT_LE(err, 1e-5) << simd::isa_name(isa) << " "
+                                 << layout_name(layout) << " m=" << m
+                                 << " k=" << k << " n=" << n;
+          }
+        }
+  }
+}
+
+TEST_F(GemmPerIsa, RowsAreBitwiseIndependentOfRowCount) {
+  // forward_batch parity rests on this: one row of a batched product
+  // rounds exactly as the single-row product of that row.
+  constexpr int m = 13, k = 300, n = 40;
+  Rng rng(32);
+  const auto a = uniform_floats(m * k, rng);
+  const auto b = uniform_floats(k * n, rng);
+  const auto c = uniform_floats(m * n, rng);
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    for (GemmLayout layout : kGemmLayouts) {
+      const auto full = bits(run_gemm(layout, a, b, c, m, k, n));
+      for (int i = 0; i < m; ++i) {
+        const std::vector<float> a_row(a.begin() + i * k,
+                                       a.begin() + (i + 1) * k);
+        const std::vector<float> c_row(c.begin() + i * n,
+                                       c.begin() + (i + 1) * n);
+        const auto row = bits(run_gemm(layout, a_row, b, c_row, 1, k, n));
+        EXPECT_EQ(row, std::vector<std::uint32_t>(full.begin() + i * n,
+                                                  full.begin() + (i + 1) * n))
+            << simd::isa_name(isa) << " " << layout_name(layout)
+            << " row " << i;
+      }
+    }
+  }
+}
+
+TEST_F(GemmPerIsa, ColumnsAreBitwiseIndependentOfColumnCount) {
+  constexpr int m = 13, k = 300, n = 40;
+  Rng rng(33);
+  const auto a = uniform_floats(m * k, rng);
+  const auto b = uniform_floats(k * n, rng);
+  const auto c = uniform_floats(m * n, rng);
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    for (GemmLayout layout : kGemmLayouts) {
+      const auto full = bits(run_gemm(layout, a, b, c, m, k, n));
+      for (int j = 0; j < n; ++j) {
+        std::vector<float> b_col(k), c_col(m);
+        std::vector<std::uint32_t> want(m);
+        for (int p = 0; p < k; ++p) b_col[p] = b[p * n + j];
+        for (int i = 0; i < m; ++i) {
+          c_col[i] = c[i * n + j];
+          want[i] = full[i * n + j];
+        }
+        EXPECT_EQ(bits(run_gemm(layout, a, b_col, c_col, m, k, 1)), want)
+            << simd::isa_name(isa) << " " << layout_name(layout)
+            << " column " << j;
+      }
+    }
+  }
 }
 
 TEST(Linear, ForwardMatchesManual) {
@@ -179,7 +345,7 @@ TEST_P(DeconvGeometry, ForwardMatchesDirectScatter) {
   Tensor& bias = deconv.parameters()[1]->value;
   for (std::size_t i = 0; i < bias.numel(); ++i)
     bias[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
-  // Post-ReLU-like input: about a third exact zeros (gemm's skip path).
+  // Post-ReLU-like input: about a third exact zeros.
   Tensor x = random_tensor({3, c.in_ch, c.h, c.w}, rng);
   for (std::size_t i = 0; i < x.numel(); ++i)
     if (i % 3 == 0 || x[i] < -0.6f) x[i] = 0.0f;

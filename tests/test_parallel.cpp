@@ -11,6 +11,7 @@
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/common/rng.hpp"
 #include "mmhand/nn/conv2d.hpp"
+#include "mmhand/nn/gemm.hpp"
 #include "mmhand/nn/linear.hpp"
 #include "mmhand/nn/lstm.hpp"
 #include "mmhand/radar/antenna_array.hpp"
@@ -90,6 +91,26 @@ TEST(ParallelDeterminism, Conv2dForwardBackwardBitwiseEqual) {
 
 TEST(ParallelDeterminism, ConvTranspose2dForwardBackwardBitwiseEqual) {
   expect_conv_bitwise_equal_across_threads<nn::ConvTranspose2d>();
+}
+
+/// All three GEMM layouts on a shape wide enough for many column panels
+/// (13 at 16 columns, 100 at 2), so the pool splits each call.
+std::vector<std::vector<float>> run_gemms() {
+  constexpr int m = 13, k = 300, n = 200;
+  Rng rng(5);
+  const nn::Tensor a = nn::Tensor::randn({m, k}, rng, 1.0);
+  const nn::Tensor at = nn::Tensor::randn({k, m}, rng, 1.0);
+  const nn::Tensor b = nn::Tensor::randn({k, n}, rng, 1.0);
+  const nn::Tensor bt = nn::Tensor::randn({n, k}, rng, 1.0);
+  std::vector<std::vector<float>> out(3, std::vector<float>(m * n, 0.5f));
+  nn::gemm_acc(a.data(), b.data(), out[0].data(), m, k, n);
+  nn::gemm_at_b_acc(at.data(), b.data(), out[1].data(), m, k, n);
+  nn::gemm_a_bt_acc(a.data(), bt.data(), out[2].data(), m, k, n);
+  return out;
+}
+
+TEST(ParallelDeterminism, GemmBitwiseEqual) {
+  EXPECT_EQ(with_threads(1, run_gemms), with_threads(4, run_gemms));
 }
 
 std::tuple<std::vector<float>, std::vector<float>> run_linear() {
