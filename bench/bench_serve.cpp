@@ -4,8 +4,10 @@
 // BENCH_serve.json (or argv[1]) in the same shape as BENCH_throughput
 // so scripts/check_bench.py can gate and trend it:
 //
-//   scripts/check_bench.py --current BENCH_serve.json \
+//   scripts/check_bench.py --current BENCH_serve.json
 //       --baseline bench/baseline/BENCH_serve.baseline.json
+//
+// (one command, wrapped here for width)
 //
 // The `threads` column of results[] carries the SESSION count (the
 // serving layer's scaling axis); every run drives the server with the

@@ -20,7 +20,9 @@ std::string format_utc(std::int64_t ms) {
 #else
   gmtime_r(&secs, &tm);
 #endif
-  char buf[32];
+  // Room for six full-range ints (11 chars each) plus the separators, so
+  // no tm value can truncate the output.
+  char buf[6 * 11 + 7];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec);

@@ -6,13 +6,15 @@ namespace mmhand::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool training) {
   Tensor y = x;
-  if (training) mask_ = Tensor::zeros(x.shape());
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] > 0.0f) {
-      if (training) mask_[i] = 1.0f;
-    } else {
-      y[i] = 0.0f;
-    }
+  float* d = y.data();
+  const std::size_t count = y.numel();
+  // A select, not std::max: -0.0f and NaN become +0.0f.  Branch-free, so
+  // the compiler vectorizes it.
+  for (std::size_t i = 0; i < count; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
+  if (training) {
+    mask_ = Tensor(x.shape());
+    float* m = mask_.data();
+    for (std::size_t i = 0; i < count; ++i) m[i] = d[i] > 0.0f ? 1.0f : 0.0f;
   }
   return y;
 }

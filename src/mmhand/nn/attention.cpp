@@ -1,5 +1,7 @@
 #include "mmhand/nn/attention.hpp"
 
+#include <algorithm>
+
 #include "mmhand/nn/activations.hpp"
 
 namespace mmhand::nn {
@@ -214,40 +216,50 @@ SpatialAttention::SpatialAttention(Rng& rng, int kernel)
 Tensor SpatialAttention::forward(const Tensor& x, bool training) {
   MMHAND_CHECK(x.rank() == 4, "SpatialAttention expects [N, C, H, W]");
   const int n = x.dim(0), c_dim = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t hw = static_cast<std::size_t>(h) * w;
 
+  // Channel-outer passes over [hw] rows.  Per pixel the sum still starts
+  // at 0 and adds channels in ascending order, and the strict `>` keeps
+  // the lowest channel (max_channel starts at 0) on ties, as a per-pixel
+  // channel walk would.
   Tensor maps({n, 2, h, w});
-  std::vector<int> max_channel(
-      training ? static_cast<std::size_t>(n) * h * w : 0);
-  for (int s = 0; s < n; ++s)
-    for (int i = 0; i < h; ++i)
-      for (int j = 0; j < w; ++j) {
-        float sum = 0.0f, best = x.at(s, 0, i, j);
-        int best_c = 0;
-        for (int c = 0; c < c_dim; ++c) {
-          const float v = x.at(s, c, i, j);
-          sum += v;
-          if (v > best) {
-            best = v;
-            best_c = c;
-          }
-        }
-        maps.at(s, 0, i, j) = sum / static_cast<float>(c_dim);
-        maps.at(s, 1, i, j) = best;
-        if (training)
-          max_channel[(static_cast<std::size_t>(s) * h + i) * w + j] =
-              best_c;
+  std::vector<int> max_channel(training ? n * hw : 0);
+  for (int s = 0; s < n; ++s) {
+    const float* xs = x.data() + s * c_dim * hw;
+    float* mean = maps.data() + s * 2 * hw;
+    float* best = mean + hw;
+    int* arg = training ? max_channel.data() + s * hw : nullptr;
+    std::fill(mean, mean + hw, 0.0f);
+    std::copy(xs, xs + hw, best);
+    for (int c = 0; c < c_dim; ++c) {
+      const float* row = xs + c * hw;
+      for (std::size_t e = 0; e < hw; ++e) mean[e] += row[e];
+      if (arg == nullptr) {
+        for (std::size_t e = 0; e < hw; ++e)
+          best[e] = row[e] > best[e] ? row[e] : best[e];
+        continue;
       }
+      for (std::size_t e = 0; e < hw; ++e)
+        if (row[e] > best[e]) {
+          best[e] = row[e];
+          arg[e] = c;
+        }
+    }
+    for (std::size_t e = 0; e < hw; ++e) mean[e] /= static_cast<float>(c_dim);
+  }
 
   Tensor pre = conv_.forward(maps, training);
   Tensor m = pre;  // [N, 1, H, W]
   for (std::size_t e = 0; e < m.numel(); ++e) m[e] = sigmoid_value(m[e]);
 
   Tensor y = x;
-  for (int s = 0; s < n; ++s)
-    for (int c = 0; c < c_dim; ++c)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j)
-          y.at(s, c, i, j) *= m.at(s, 0, i, j);
+  for (int s = 0; s < n; ++s) {
+    const float* ms = m.data() + s * hw;
+    for (int c = 0; c < c_dim; ++c) {
+      float* row = y.data() + (s * c_dim + c) * hw;
+      for (std::size_t e = 0; e < hw; ++e) row[e] *= ms[e];
+    }
+  }
 
   if (training) {
     cached_input_ = x;

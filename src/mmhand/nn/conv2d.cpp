@@ -1,5 +1,6 @@
 #include "mmhand/nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -10,24 +11,41 @@ namespace mmhand::nn {
 
 namespace {
 
+/// First output index j >= 0 whose tap j * stride + off reaches `edge`,
+/// capped at `count`.
+int first_tap_at(int edge, int off, int stride, int count) {
+  const int num = edge - off;
+  return num <= 0 ? 0 : std::min(count, (num + stride - 1) / stride);
+}
+
 /// Gathers one [ch, h, w] sample into im2col layout: one row per
 /// (channel, ki, kj) triple, one column per pixel of the [oh x ow] conv
-/// output grid; taps that fall in the padding read zero.
+/// output grid; taps that fall in the padding read zero.  The block is
+/// zeroed once; per triple, output rows [i_lo, i_hi) and columns
+/// [j_lo, j_hi) are the ones whose taps land inside the input, and only
+/// that interior is copied (contiguously at stride 1).
 void im2col(const float* x, int ch, int h, int w, int kernel, int stride,
             int pad, int oh, int ow, float* cols) {
+  const std::size_t plane = static_cast<std::size_t>(oh) * ow;
+  std::fill(cols, cols + plane * ch * kernel * kernel, 0.0f);
   for (int c = 0; c < ch; ++c)
     for (int ki = 0; ki < kernel; ++ki)
-      for (int kj = 0; kj < kernel; ++kj)
-        for (int i = 0; i < oh; ++i) {
-          const int src_i = i * stride + ki - pad;
-          const bool row_in = src_i >= 0 && src_i < h;
+      for (int kj = 0; kj < kernel; ++kj, cols += plane) {
+        const int di = ki - pad, dj = kj - pad;
+        const int i_lo = first_tap_at(0, di, stride, oh);
+        const int i_hi = std::max(i_lo, first_tap_at(h, di, stride, oh));
+        const int j_lo = first_tap_at(0, dj, stride, ow);
+        const int j_hi = std::max(j_lo, first_tap_at(w, dj, stride, ow));
+        for (int i = i_lo; i < i_hi; ++i) {
           const float* src =
-              x + (static_cast<std::size_t>(c) * h + (row_in ? src_i : 0)) * w;
-          for (int j = 0; j < ow; ++j, ++cols) {
-            const int src_j = j * stride + kj - pad;
-            *cols = (row_in && src_j >= 0 && src_j < w) ? src[src_j] : 0.0f;
-          }
+              x + (static_cast<std::size_t>(c) * h + i * stride + di) * w;
+          float* dst = cols + static_cast<std::size_t>(i) * ow;
+          if (stride == 1)
+            std::copy(src + j_lo + dj, src + j_hi + dj, dst + j_lo);
+          else
+            for (int j = j_lo; j < j_hi; ++j) dst[j] = src[j * stride + dj];
         }
+      }
 }
 
 /// The adjoint of im2col: scatter-adds each column entry back onto the

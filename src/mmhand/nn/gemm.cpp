@@ -75,9 +75,11 @@ void pack_panel(const float* src, std::size_t line, std::size_t depth,
 /// C[m x n] += A[m x k] * B[k x n] through the active ISA's tile kernel.
 /// A is packed once into zero-padded gemm_mr-row panels; each task owns
 /// one gemm_nr-column panel of C and reads B in place when its rows are
-/// contiguous and the panel is full, else packs it zero-padded.  The
-/// kernel gives every element the same ascending-k FMA chain wherever
-/// its tile sits, so results do not depend on m, n or the thread count.
+/// contiguous and the panel is full, else packs it zero-padded — through
+/// the kernel table's transposing pack when B's columns are k-contiguous
+/// (the A*B^T layout).  The kernel gives every element the same
+/// ascending-k FMA chain wherever its tile sits, so results do not
+/// depend on m, n or the thread count.
 void gemm_strided(View a, View b, float* c, int m, int k, int n) {
   note_gemm(m, k, n);
   MMHAND_SPAN("nn/gemm");
@@ -99,7 +101,10 @@ void gemm_strided(View a, View b, float* c, int m, int k, int n) {
       return;
     }
     float* bp = pack_scratch(1, static_cast<std::size_t>(k) * nr);
-    pack_panel(b.p + j0 * b.cs, b.cs, b.rs, cols, nr, k, bp);
+    if (b.rs == 1)
+      kern->gemm_pack_lines(b.p + j0 * b.cs, b.cs, cols, k, bp);
+    else
+      pack_panel(b.p + j0 * b.cs, b.cs, b.rs, cols, nr, k, bp);
     kern->gemm_panel(ap, bp, nr, c + j0, n, m, cols, k);
   });
 }

@@ -111,6 +111,12 @@ struct Kernels {
   /// its tile position.
   void (*gemm_panel)(const float* a, const float* b, std::size_t ldb,
                      float* c, std::size_t ldc, int m, int n, int k);
+
+  /// Packs gemm_nr k-contiguous lines into a k x gemm_nr B panel for
+  /// gemm_panel: dst[p*gemm_nr + j] = src[j*line + p] for j < valid,
+  /// zero for the lines past `valid`.  Data movement only.
+  void (*gemm_pack_lines)(const float* src, std::size_t line, int valid,
+                          int k, float* dst);
   int gemm_mr = 1;
   int gemm_nr = 1;
 };

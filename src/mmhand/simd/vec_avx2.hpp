@@ -63,6 +63,24 @@ struct VAvx2F {
   static VAvx2F fmadd(VAvx2F a, VAvx2F b, VAvx2F c) {
     return {_mm256_fmadd_ps(a.v, b.v, c.v)};
   }
+
+  /// In-place 8 x 8 transpose: rows[i] lane j <-> rows[j] lane i.
+  static void transpose(VAvx2F* rows) {
+    __m256 t[8], s[8];
+    for (int i = 0; i < 8; i += 2) {
+      t[i] = _mm256_unpacklo_ps(rows[i].v, rows[i + 1].v);
+      t[i + 1] = _mm256_unpackhi_ps(rows[i].v, rows[i + 1].v);
+    }
+    for (int i = 0; i < 8; i += 4)
+      for (int h = 0; h < 2; ++h) {
+        s[i + 2 * h] = _mm256_shuffle_ps(t[i + h], t[i + h + 2], 0x44);
+        s[i + 2 * h + 1] = _mm256_shuffle_ps(t[i + h], t[i + h + 2], 0xee);
+      }
+    for (int i = 0; i < 4; ++i) {
+      rows[i].v = _mm256_permute2f128_ps(s[i], s[i + 4], 0x20);
+      rows[i + 4].v = _mm256_permute2f128_ps(s[i], s[i + 4], 0x31);
+    }
+  }
 };
 
 }  // namespace mmhand::simd

@@ -52,6 +52,18 @@ struct VNeonF {
   static VNeonF fmadd(VNeonF a, VNeonF b, VNeonF c) {
     return {vfmaq_f32(c.v, a.v, b.v)};
   }
+
+  /// In-place 4 x 4 transpose: rows[i] lane j <-> rows[j] lane i.
+  static void transpose(VNeonF* rows) {
+    const float32x4x2_t lo = vtrnq_f32(rows[0].v, rows[1].v);
+    const float32x4x2_t hi = vtrnq_f32(rows[2].v, rows[3].v);
+    for (int i = 0; i < 2; ++i) {
+      rows[i].v =
+          vcombine_f32(vget_low_f32(lo.val[i]), vget_low_f32(hi.val[i]));
+      rows[i + 2].v =
+          vcombine_f32(vget_high_f32(lo.val[i]), vget_high_f32(hi.val[i]));
+    }
+  }
 };
 
 }  // namespace mmhand::simd

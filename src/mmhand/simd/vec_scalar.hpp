@@ -52,6 +52,9 @@ struct VScalarF {
   static VScalarF fmadd(VScalarF a, VScalarF b, VScalarF c) {
     return {a.v * b.v + c.v};
   }
+
+  /// A 1 x 1 block is its own transpose.
+  static void transpose(VScalarF*) {}
 };
 
 }  // namespace mmhand::simd

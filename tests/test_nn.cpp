@@ -1,5 +1,7 @@
 // Tests for mmhand/nn: every layer's backward pass is validated against
-// central-difference numerical gradients, plus optimizer, loss, and
+// central-difference numerical gradients, the GEMM layouts and the
+// rewritten forward passes against naive oracles, and a paper-shaped
+// forward against golden bit hashes; plus optimizer, loss, and
 // serialization behaviour.
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mmhand/eval/experiment.hpp"
 #include "mmhand/nn/activations.hpp"
 #include "mmhand/nn/attention.hpp"
 #include "mmhand/nn/conv2d.hpp"
@@ -21,6 +24,7 @@
 #include "mmhand/nn/lstm.hpp"
 #include "mmhand/nn/optimizer.hpp"
 #include "mmhand/nn/sequential.hpp"
+#include "mmhand/pose/joint_model.hpp"
 #include "mmhand/simd/simd.hpp"
 
 namespace mmhand::nn {
@@ -154,7 +158,7 @@ TEST_F(GemmPerIsa, MatchesDoubleOracleOnEdgeShapes) {
     ASSERT_TRUE(simd::set_isa(isa));
     for (int m : {1, 5, 6, 7, 13})
       for (int n : {1, 15, 16, 17, 40})
-        for (int k : {0, 1, 7, 300}) {
+        for (int k : {0, 1, 7, 8, 9, 16, 300}) {
           const auto a = uniform_floats(m * k, rng);
           const auto b = uniform_floats(k * n, rng);
           const auto c = uniform_floats(m * n, rng);
@@ -173,6 +177,29 @@ TEST_F(GemmPerIsa, MatchesDoubleOracleOnEdgeShapes) {
                                  << layout_name(layout) << " m=" << m
                                  << " k=" << k << " n=" << n;
           }
+        }
+  }
+}
+
+TEST_F(GemmPerIsa, LayoutsAgreeBitwise) {
+  // Each element is C_in plus one FMA chain from 0 over ascending k in
+  // every layout, so how an operand is packed (in place, strided, or
+  // through the transposing pack) must not move a bit.  The oracle test's
+  // 1e-5 tolerance could hide a pack that drops or reorders a term.
+  Rng rng(34);
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    for (int m : {1, 5, 6, 7, 13})
+      for (int n : {1, 15, 16, 17, 40})
+        for (int k : {0, 1, 7, 8, 9, 16, 300}) {
+          const auto a = uniform_floats(m * k, rng);
+          const auto b = uniform_floats(k * n, rng);
+          const auto c = uniform_floats(m * n, rng);
+          const auto want = bits(run_gemm(GemmLayout::kAB, a, b, c, m, k, n));
+          for (GemmLayout layout : {GemmLayout::kAtB, GemmLayout::kABt})
+            EXPECT_EQ(bits(run_gemm(layout, a, b, c, m, k, n)), want)
+                << simd::isa_name(isa) << " " << layout_name(layout)
+                << " m=" << m << " k=" << k << " n=" << n;
         }
   }
 }
@@ -268,13 +295,72 @@ TEST_P(ConvGeometry, GradCheck) {
   expect_gradients_ok(check_parameter_gradients(conv, x, check_rng2));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, ConvGeometry,
-    ::testing::Values(ConvCase{1, 1, 3, 1, 1, 5, 5},
-                      ConvCase{2, 3, 3, 2, 1, 6, 6},
-                      ConvCase{3, 2, 1, 1, 0, 4, 4},
-                      ConvCase{2, 2, 5, 1, 2, 7, 7},
-                      ConvCase{2, 4, 3, 2, 1, 5, 7}));
+constexpr ConvCase kConvCases[] = {
+    {1, 1, 3, 1, 1, 5, 5}, {2, 3, 3, 2, 1, 6, 6}, {3, 2, 1, 1, 0, 4, 4},
+    {2, 2, 5, 1, 2, 7, 7}, {2, 4, 3, 2, 1, 5, 7},
+};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, ConvGeometry,
+                         ::testing::ValuesIn(kConvCases));
+
+// Naive direct convolution in double; weight layout [OC, IC, K, K].
+std::vector<double> conv_reference(const Tensor& x, const Tensor& weight,
+                                   const Tensor& bias, const ConvCase& c,
+                                   int oh, int ow) {
+  const int n = x.dim(0);
+  std::vector<double> y;
+  for (int s = 0; s < n; ++s)
+    for (int oc = 0; oc < c.out_ch; ++oc)
+      for (int i = 0; i < oh; ++i)
+        for (int j = 0; j < ow; ++j) {
+          double acc = bias.at(oc);
+          for (int ic = 0; ic < c.in_ch; ++ic)
+            for (int ki = 0; ki < c.k; ++ki)
+              for (int kj = 0; kj < c.k; ++kj) {
+                const int xi = i * c.stride + ki - c.pad;
+                const int xj = j * c.stride + kj - c.pad;
+                if (xi < 0 || xi >= c.h || xj < 0 || xj >= c.w) continue;
+                acc += static_cast<double>(x.at(s, ic, xi, xj)) *
+                       weight.at(oc, ic, ki, kj);
+              }
+          y.push_back(acc);
+        }
+  return y;
+}
+
+TEST(Conv2d, ForwardMatchesDirectConv) {
+  // The grad-check geometries plus ones where the padding covers part of
+  // every output row (k = 5, pad = 2 on narrow inputs), whole rows
+  // (pad >= k), or leaves no interior at all (w = 1, stride 3), and
+  // strided cases with odd widths.
+  std::vector<ConvCase> cases(std::begin(kConvCases), std::end(kConvCases));
+  cases.insert(cases.end(), {{2, 3, 5, 1, 2, 3, 3},
+                             {1, 2, 5, 1, 2, 4, 1},
+                             {3, 2, 5, 2, 2, 7, 9},
+                             {2, 2, 4, 3, 1, 8, 7},
+                             {1, 1, 1, 1, 2, 3, 3},
+                             {1, 2, 1, 3, 2, 4, 1},
+                             {2, 3, 3, 2, 1, 4, 5}});
+  Rng rng(17);
+  for (const ConvCase& c : cases) {
+    Conv2d conv(c.in_ch, c.out_ch, c.k, c.stride, c.pad, rng);
+    Tensor& bias = conv.parameters()[1]->value;
+    for (std::size_t i = 0; i < bias.numel(); ++i)
+      bias[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+    const Tensor x = random_tensor({2, c.in_ch, c.h, c.w}, rng);
+    const Tensor y = conv.forward(x, false);
+    const int oh = conv.out_extent(c.h), ow = conv.out_extent(c.w);
+    ASSERT_EQ(y.dim(2), oh);
+    ASSERT_EQ(y.dim(3), ow);
+    const std::vector<double> ref =
+        conv_reference(x, conv.parameters()[0]->value, bias, c, oh, ow);
+    ASSERT_EQ(ref.size(), y.numel());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      EXPECT_NEAR(y[i], ref[i], 1e-5)
+          << "k=" << c.k << " stride=" << c.stride << " pad=" << c.pad
+          << " h=" << c.h << " w=" << c.w << " at flat index " << i;
+  }
+}
 
 TEST(Conv2d, IdentityKernelPassesThrough) {
   Rng rng(9);
@@ -380,15 +466,20 @@ TEST(ConvTranspose2d, DoublesSpatialExtent) {
 }
 
 TEST(Activations, ReluForwardAndGrad) {
-  Rng rng(15);
   ReLU relu;
-  const Tensor x = Tensor::from_vector({1, 4}, {-1.0f, 0.0f, 2.0f, -3.0f});
+  const Tensor x = Tensor::from_vector(
+      {1, 6}, {-1.0f, 0.0f, 2.0f, -3.0f, -0.0f, std::nanf("")});
   const Tensor y = relu.forward(x, true);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
-  const Tensor g = relu.backward(Tensor::full({1, 4}, 1.0f));
-  EXPECT_FLOAT_EQ(g[0], 0.0f);
-  EXPECT_FLOAT_EQ(g[2], 1.0f);
+  // -0.0f and NaN both come out as +0.0f (a select, not std::max).
+  for (std::size_t i : {0u, 1u, 3u, 4u, 5u})
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]), 0u) << "element " << i;
+  const Tensor y_inf = relu.forward(x, false);
+  EXPECT_EQ(bits(y_inf.vec()), bits(y.vec()));
+  const Tensor g = relu.backward(Tensor::full({1, 6}, 1.0f));
+  const std::vector<float> want_g = {0.0f, 0.0f, 1.0f, 0.0f, 0.0f, 0.0f};
+  EXPECT_EQ(g.vec(), want_g);
 }
 
 TEST(Activations, SigmoidGradCheck) {
@@ -506,6 +597,91 @@ TEST(SpatialAttention, GradCheck) {
   expect_gradients_ok(check_input_gradient(att, x, check_rng));
   Rng check_rng2(38);
   expect_gradients_ok(check_parameter_gradients(att, x, check_rng2));
+}
+
+struct SpatialAttentionRef {
+  Tensor y, grad_in;
+};
+
+/// Per-pixel Tensor::at walk of SpatialAttention forward and backward.
+/// `conv` carries the layer's conv parameters; the backward mirrors the
+/// layer's arithmetic so the argmax channel shows up bitwise in grad_in.
+SpatialAttentionRef spatial_attention_reference(const Tensor& x,
+                                                Conv2d& conv,
+                                                const Tensor& grad_out) {
+  const int n = x.dim(0), c_dim = x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor maps({n, 2, h, w});
+  std::vector<int> argmax(static_cast<std::size_t>(n) * h * w);
+  for (int s = 0; s < n; ++s)
+    for (int i = 0; i < h; ++i)
+      for (int j = 0; j < w; ++j) {
+        float sum = 0.0f, best = x.at(s, 0, i, j);
+        int best_c = 0;
+        for (int c = 0; c < c_dim; ++c) {
+          sum += x.at(s, c, i, j);
+          if (x.at(s, c, i, j) > best) {
+            best = x.at(s, c, i, j);
+            best_c = c;
+          }
+        }
+        maps.at(s, 0, i, j) = sum / static_cast<float>(c_dim);
+        maps.at(s, 1, i, j) = best;
+        argmax[(static_cast<std::size_t>(s) * h + i) * w + j] = best_c;
+      }
+  const Tensor pre = conv.forward(maps, true);
+  SpatialAttentionRef out{x, grad_out};
+  Tensor dpre({n, 1, h, w});
+  for (int s = 0; s < n; ++s)
+    for (int i = 0; i < h; ++i)
+      for (int j = 0; j < w; ++j) {
+        const float mv = sigmoid_value(pre.at(s, 0, i, j));
+        float dm = 0.0f;
+        for (int c = 0; c < c_dim; ++c) {
+          out.y.at(s, c, i, j) *= mv;
+          dm += grad_out.at(s, c, i, j) * x.at(s, c, i, j);
+          out.grad_in.at(s, c, i, j) = grad_out.at(s, c, i, j) * mv;
+        }
+        dpre.at(s, 0, i, j) = dm * mv * (1.0f - mv);
+      }
+  const Tensor dmaps = conv.backward(dpre);
+  for (int s = 0; s < n; ++s)
+    for (int i = 0; i < h; ++i)
+      for (int j = 0; j < w; ++j) {
+        const float dmean = dmaps.at(s, 0, i, j) / static_cast<float>(c_dim);
+        for (int c = 0; c < c_dim; ++c) out.grad_in.at(s, c, i, j) += dmean;
+        const int c_max = argmax[(static_cast<std::size_t>(s) * h + i) * w + j];
+        out.grad_in.at(s, c_max, i, j) += dmaps.at(s, 1, i, j);
+      }
+  return out;
+}
+
+TEST(SpatialAttention, ForwardMatchesPerPixelReference) {
+  Rng rng(49);
+  SpatialAttention att(rng, 3);
+  Conv2d conv(2, 1, 3, 1, 1, rng);
+  conv.parameters()[0]->value = att.parameters()[0]->value;
+  conv.parameters()[1]->value = Tensor::full({1}, 0.25f);
+  att.parameters()[1]->value = Tensor::full({1}, 0.25f);
+  Tensor x = random_tensor({2, 4, 5, 6}, rng);
+  // Tied channel maxima: channels 1 and 3 share the max on even pixels,
+  // and every channel ties on a diagonal.  The argmax must stay the
+  // lowest tied channel.
+  for (int s = 0; s < 2; ++s)
+    for (int i = 0; i < 5; ++i)
+      for (int j = 0; j < 6; ++j) {
+        if (i == j) {
+          for (int c = 0; c < 4; ++c) x.at(s, c, i, j) = 0.5f;
+        } else if ((i + j) % 2 == 0) {
+          x.at(s, 1, i, j) = 2.0f;
+          x.at(s, 3, i, j) = 2.0f;
+        }
+      }
+  const Tensor grad_out = random_tensor({2, 4, 5, 6}, rng);
+  const SpatialAttentionRef ref =
+      spatial_attention_reference(x, conv, grad_out);
+  EXPECT_EQ(bits(att.forward(x, false).vec()), bits(ref.y.vec()));
+  EXPECT_EQ(bits(att.forward(x, true).vec()), bits(ref.y.vec()));
+  EXPECT_EQ(bits(att.backward(grad_out).vec()), bits(ref.grad_in.vec()));
 }
 
 TEST(SpatialAttention, AttenuatesButPreservesShape) {
@@ -635,6 +811,58 @@ TEST(Parameters, LoadRejectsShapeMismatch) {
   BinaryReader r(path);
   EXPECT_THROW(load_parameters(c.parameters(), r), Error);
   std::remove(path.c_str());
+}
+
+
+// ---- NN output golden: the bits of a paper-shaped batched forward.
+
+/// FNV-1a over the float bit patterns of `t`.
+std::uint64_t bits_hash(const Tensor& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    const auto v = std::bit_cast<std::uint32_t>(t[i]);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// forward_batch output hash of a fixed-seed ProtocolConfig::standard()
+/// regressor on a fixed input at batch 2, under the active ISA.
+std::uint64_t golden_forward_hash() {
+  const pose::PoseNetConfig cfg = eval::ProtocolConfig::standard().posenet;
+  Rng rng(47);
+  pose::HandJointRegressor model(cfg, rng);
+  constexpr int kBatch = 2;
+  Rng xrng(48);
+  const Tensor x =
+      random_tensor({kBatch * cfg.frames_per_sample(), cfg.velocity_bins,
+                     cfg.range_bins, cfg.angle_bins},
+                    xrng);
+  const Tensor y = model.forward_batch(x, kBatch);
+  EXPECT_EQ(y.dim(0), kBatch * cfg.sequence_segments);
+  EXPECT_EQ(y.dim(1), 63);
+  return bits_hash(y);
+}
+
+// Both hashes were captured before the data-movement passes around the
+// GEMM (spatial attention, ReLU, im2col, the transposed-B pack) were
+// rewritten; any drift is a change to NN arithmetic, not a tolerance
+// issue.  The scalar pin sees the shared code paths; the AVX2 pin sees
+// what only the 8-lane kernels do (pack tails, transpose blocks).
+using NnGolden = GemmPerIsa;
+
+TEST_F(NnGolden, ScalarForwardBatchHashUnchanged) {
+  ASSERT_TRUE(simd::set_isa(simd::Isa::kScalar));
+  EXPECT_EQ(golden_forward_hash(), 0x0866cfb6948dd452ull);
+}
+
+TEST_F(NnGolden, Avx2ForwardBatchHashUnchanged) {
+  if (!simd::isa_supported(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2";
+  ASSERT_TRUE(simd::set_isa(simd::Isa::kAvx2));
+  EXPECT_EQ(golden_forward_hash(), 0x6851587a78868e97ull);
 }
 
 }  // namespace
