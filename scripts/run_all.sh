@@ -35,9 +35,8 @@ import json
 with open("mmhand_trace.json") as f:
     trace = json.load(f)
 names = {e["name"] for e in trace["traceEvents"]}
-required = {"radar/bandpass", "radar/range_fft", "radar/doppler_fft",
-            "radar/zoom_angle_fft", "pose/joint_regression",
-            "mesh/reconstruct"}
+required = {"radar/range_fft", "radar/doppler_fft", "radar/zoom_angle_fft",
+            "pose/joint_regression", "mesh/reconstruct"}
 missing = required - names
 assert not missing, f"trace is missing spans: {sorted(missing)}"
 print(f"mmhand_trace.json OK: {len(trace['traceEvents'])} events, "
@@ -45,8 +44,8 @@ print(f"mmhand_trace.json OK: {len(trace['traceEvents'])} events, "
 EOF
 else
   grep -q '"traceEvents"' mmhand_trace.json
-  for span in radar/bandpass radar/range_fft radar/doppler_fft \
-              radar/zoom_angle_fft pose/joint_regression mesh/reconstruct; do
+  for span in radar/range_fft radar/doppler_fft radar/zoom_angle_fft \
+              pose/joint_regression mesh/reconstruct; do
     grep -q "\"$span\"" mmhand_trace.json || {
       echo "trace missing span $span" >&2
       exit 1

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
-#include "mmhand/common/aligned.hpp"
 #include "mmhand/common/error.hpp"
-#include "mmhand/common/parallel.hpp"
-#include "mmhand/common/realtime.hpp"
-#include "mmhand/simd/simd.hpp"
 
 namespace mmhand::dsp {
 
@@ -17,43 +14,10 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 using Cd = std::complex<double>;
 
-/// Grows-on-demand per-thread scratch for the lane-batched biquad
-/// cascade: allocation-free once warmed up (audited in
-/// scripts/purity_allowlist.json).
-double* biquad_scratch(std::size_t doubles) {
-  thread_local aligned_vector<double> buf;
-  if (buf.size() < doubles) buf.resize(doubles);
-  return buf.data();
-}
-
-/// Copies one real channel into lane `lane` of a padded lane block:
-/// `ch` points at the channel's sample 0, samples 2 doubles apart (the
-/// re or im part of a complex signal).  Adds the odd reflection around
-/// both edges, matching `filtfilt`.
-void load_channel(double* x, std::size_t width, std::size_t lane,
-                  const double* ch, std::size_t len, std::size_t pad) {
-  for (std::size_t t = 0; t < len; ++t)
-    x[(pad + t) * width + lane] = ch[2 * t];
-  for (std::size_t i = 0; i < pad; ++i) {
-    x[i * width + lane] = 2.0 * ch[0] - ch[2 * (pad - i)];
-    x[(pad + len + i) * width + lane] =
-        2.0 * ch[2 * (len - 1)] - ch[2 * (len - 2 - i)];
-  }
-}
-
 }  // namespace
 
 SosFilter::SosFilter(std::vector<Biquad> sections, double gain)
-    : sections_(std::move(sections)), gain_(gain) {
-  packed_coeffs_.resize(sections_.size() * 5);
-  for (std::size_t s = 0; s < sections_.size(); ++s) {
-    packed_coeffs_[5 * s + 0] = sections_[s].b0;
-    packed_coeffs_[5 * s + 1] = sections_[s].b1;
-    packed_coeffs_[5 * s + 2] = sections_[s].b2;
-    packed_coeffs_[5 * s + 3] = sections_[s].a1;
-    packed_coeffs_[5 * s + 4] = sections_[s].a2;
-  }
-}
+    : sections_(std::move(sections)), gain_(gain) {}
 
 std::vector<double> SosFilter::filter(std::span<const double> x) const {
   std::vector<double> y(x.begin(), x.end());
@@ -105,51 +69,6 @@ std::vector<Cd> SosFilter::filtfilt(std::span<const Cd> x) const {
   std::vector<Cd> y(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = Cd{fre[i], fim[i]};
   return y;
-}
-
-MMHAND_REALTIME
-void SosFilter::filtfilt_batch(Cd* data, std::size_t len,
-                               std::size_t count) const {
-  MMHAND_CHECK(len >= 2, "filtfilt needs >= 2 samples");
-  if (count == 0) return;
-
-  // Each complex signal contributes two real channels: channel c is the
-  // re (c even) or im (c odd) part of signal c/2.  A block fills the
-  // `width` SIMD lanes with consecutive channels; membership is fixed by
-  // index, so results do not depend on the thread count.
-  const auto& kernels = simd::kernels();
-  const std::size_t width = static_cast<std::size_t>(kernels.width);
-  const std::size_t channels = 2 * count;
-  const std::size_t nsec = sections_.size();
-  const std::size_t pad =
-      std::min<std::size_t>(len - 1, 3 * (2 * nsec + 1));
-  const std::size_t ext = len + 2 * pad;
-  const double* coeffs = packed_coeffs_.data();
-  // std::complex<double> is layout-compatible with double[2].
-  double* flat = reinterpret_cast<double*>(data);
-
-  const std::int64_t blocks =
-      static_cast<std::int64_t>((channels + width - 1) / width);
-  parallel_for(0, blocks, 1, [&](std::int64_t b) {
-    double* x = biquad_scratch(ext * width);
-    const std::size_t first = static_cast<std::size_t>(b) * width;
-    const std::size_t in_block = std::min(width, channels - first);
-    auto channel = [&](std::size_t l) {
-      return flat + (first + l) / 2 * 2 * len + (first + l) % 2;
-    };
-    for (std::size_t l = 0; l < in_block; ++l)
-      load_channel(x, width, l, channel(l), len, pad);
-    // Lanes past the last channel filter zeros; they are never stored.
-    for (std::size_t l = in_block; l < width; ++l)
-      for (std::size_t t = 0; t < ext; ++t) x[t * width + l] = 0.0;
-    kernels.sos_lanes(x, ext, coeffs, nsec, gain_, +1);
-    kernels.sos_lanes(x, ext, coeffs, nsec, gain_, -1);
-    for (std::size_t l = 0; l < in_block; ++l) {
-      double* ch = channel(l);
-      for (std::size_t t = 0; t < len; ++t)
-        ch[2 * t] = x[(pad + t) * width + l];
-    }
-  });
 }
 
 Cd SosFilter::response(double f) const {

@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "mmhand/common/aligned.hpp"
-
 namespace mmhand::dsp {
 
 /// One second-order section (biquad), normalized so a0 == 1.
@@ -40,16 +38,6 @@ class SosFilter {
   std::vector<std::complex<double>> filtfilt(
       std::span<const std::complex<double>> x) const;
 
-  /// Zero-phase filters `count` equal-length complex signals in place
-  /// (signal i occupies data[i*len, (i+1)*len)).  The real and
-  /// imaginary components ride the SIMD lanes of a batched biquad
-  /// cascade, one lane per real channel.  On the width-1 scalar ISA it
-  /// reproduces the per-signal `filtfilt` above bitwise for Butterworth
-  /// sections (b1 == 0 makes the kernel's reassociated state update
-  /// exact); wider ISAs agree with it to 1e-9 relative.
-  void filtfilt_batch(std::complex<double>* data, std::size_t len,
-                      std::size_t count) const;
-
   /// Complex frequency response at normalized frequency f in cycles/sample.
   std::complex<double> response(double f) const;
 
@@ -59,10 +47,6 @@ class SosFilter {
  private:
   std::vector<Biquad> sections_;
   double gain_ = 1.0;
-  /// Sections flattened to [b0 b1 b2 a1 a2] runs for the lane-batched
-  /// kernel, packed once at construction so `filtfilt_batch` stays
-  /// allocation-free per call.
-  aligned_vector<double> packed_coeffs_;
 };
 
 /// Designs a digital Butterworth bandpass via the bilinear transform.

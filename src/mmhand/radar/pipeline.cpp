@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
-#include "mmhand/common/aligned.hpp"
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/common/realtime.hpp"
+#include "mmhand/dsp/butterworth.hpp"
 #include "mmhand/dsp/fft.hpp"
 #include "mmhand/obs/context.hpp"
 #include "mmhand/obs/metrics.hpp"
@@ -19,52 +22,47 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 using Cd = std::complex<double>;
+using Signal = std::vector<Cd>;
 
-/// Roofline cost model for the DSP stages (`<stage>.flops` /
-/// `<stage>.bytes` counters next to the span histograms of the same
-/// name).  These are arithmetic estimates of the stage's math — 5·N·log2N
-/// per complex FFT, one CZT as three kernel FFTs, 16-byte complex
-/// doubles streamed in and out — not measurements, and deliberately
-/// identical on every ISA so arithmetic intensity is a property of the
-/// algorithm, not the dispatch.
-double fft_flops(double n) {
-  return 5.0 * n * std::log2(std::max(2.0, n));
+ComplexMap zero_map(std::size_t rows, std::size_t cols) {
+  return {rows, cols, aligned_vector<double>(rows * cols, 0.0),
+          aligned_vector<double>(rows * cols, 0.0)};
 }
 
-/// Bluestein/CZT on `n` inputs and `m` output bins: chirp multiply,
-/// forward+inverse FFT at the padded size, kernel multiply.
-double czt_flops(double n, double m) {
-  double fft_n = 2.0;
-  while (fft_n < n + m - 1.0) fft_n *= 2.0;
-  return 3.0 * fft_flops(fft_n) + 6.0 * (n + m + fft_n);
+void set(ComplexMap& m, std::size_t r, std::size_t c, Cd v) {
+  m.re[r * m.cols + c] = v.real();
+  m.im[r * m.cols + c] = v.imag();
 }
 
-void note_stage_cost(const char* flops_name, const char* bytes_name,
-                     double flops, double bytes) {
-  obs::counter(flops_name).add(static_cast<std::int64_t>(flops));
-  obs::counter(bytes_name).add(static_cast<std::int64_t>(bytes));
-}
-
-/// Per-thread SoA scratch for the lane-batched stages; grown on demand
-/// so steady-state frames allocate nothing.
-double* stage_scratch(std::size_t doubles) {
-  thread_local aligned_vector<double> buf;
-  if (buf.size() < doubles) buf.resize(doubles);
-  return buf.data();
+/// Roofline inputs (`<stage>.flops` / `<stage>.bytes` counters next to
+/// the span histograms of the same name) for `count` split-complex
+/// products of shape m x n x k: 8 flops per complex multiply-add, and A,
+/// B and C streamed once each as 16-byte complex doubles, plus
+/// `extra_bytes`.  Arithmetic estimates from the map shapes, not
+/// measurements, and identical on every ISA, so arithmetic intensity is
+/// a property of the algorithm, not the dispatch.
+void note_products(obs::Counter& flops, obs::Counter& bytes, double count,
+                   double m, double n, double k, double extra_bytes = 0.0) {
+  flops.add(static_cast<std::int64_t>(count * 8.0 * m * n * k));
+  bytes.add(static_cast<std::int64_t>(
+      count * 16.0 * (m * k + k * n + m * n) + extra_bytes));
 }
 
 }  // namespace
 
+// Every map is linear, so column j is the image of the unit impulse e_j
+// pushed through the per-signal dsp:: functions: exact up to rounding,
+// and the stage definitions live in one place.
 RadarPipeline::RadarPipeline(const ChirpConfig& chirp,
                              const AntennaArray& array,
                              const PipelineConfig& config)
-    : chirp_(chirp), array_(array), config_(config) {
+    : chirp_(chirp), config_(config) {
   chirp_.validate();
   config_.cube.validate();
   MMHAND_CHECK(config_.cube.range_bins <= chirp_.samples_per_chirp,
                "more range bins than samples per chirp");
   MMHAND_CHECK(config_.band_lo_m < config_.band_hi_m, "bandpass band");
-  // The range and Doppler stages are lane-batched radix-2 FFTs.
+  // The maps are built from radix-2 FFTs.
   MMHAND_CHECK(dsp::is_power_of_two(
                    static_cast<std::size_t>(chirp_.samples_per_chirp)),
                "samples_per_chirp must be a power of two, got "
@@ -73,20 +71,98 @@ RadarPipeline::RadarPipeline(const ChirpConfig& chirp,
                    static_cast<std::size_t>(chirp_.chirps_per_frame)),
                "chirps_per_frame must be a power of two, got "
                    << chirp_.chirps_per_frame);
+  const auto n_samp = static_cast<std::size_t>(chirp_.samples_per_chirp);
+  const auto n_chirp = static_cast<std::size_t>(chirp_.chirps_per_frame);
+  const auto n_range = static_cast<std::size_t>(config_.cube.range_bins);
+  const auto n_tx = static_cast<std::size_t>(array.num_tx());
+  const auto n_rx = static_cast<std::size_t>(array.num_rx());
+
+  // Range: bandpass, window, FFT, crop to the leading range bins.
+  dsp::SosFilter bandpass;
   if (config_.enable_bandpass) {
     const double fs = chirp_.sample_rate_hz();
     const double f_lo = chirp_.beat_frequency_hz(config_.band_lo_m);
     const double f_hi =
         std::min(chirp_.beat_frequency_hz(config_.band_hi_m), 0.45 * fs);
-    bandpass_ = dsp::butterworth_bandpass(config_.butterworth_order, f_lo,
-                                          f_hi, fs);
+    bandpass = dsp::butterworth_bandpass(config_.butterworth_order, f_lo,
+                                         f_hi, fs);
   }
-  range_window_ = dsp::make_window(
-      config_.range_window,
-      static_cast<std::size_t>(chirp_.samples_per_chirp));
-  doppler_window_ = dsp::make_window(
-      config_.doppler_window,
-      static_cast<std::size_t>(chirp_.chirps_per_frame));
+  const auto range_window = dsp::make_window(config_.range_window, n_samp);
+  range_map_ = zero_map(n_samp, n_range);
+  for (std::size_t s = 0; s < n_samp; ++s) {
+    // The filter is real, so the impulse's response is too.
+    std::vector<double> h(n_samp);
+    h[s] = 1.0;
+    if (config_.enable_bandpass) h = bandpass.filtfilt(h);
+    Signal x(n_samp);
+    for (std::size_t t = 0; t < n_samp; ++t) x[t] = h[t] * range_window[t];
+    const Signal y = dsp::fft(x);
+    for (std::size_t d = 0; d < n_range; ++d) set(range_map_, s, d, y[d]);
+  }
+
+  // Doppler: window, FFT, fftshift, then TDM phase compensation.  TX i
+  // fires i*Tc later within each chirp loop, adding a Doppler-dependent
+  // phase 2*pi*f_d*i*Tc that must be removed before the angle stage can
+  // combine virtual channels coherently.
+  const auto doppler_window = dsp::make_window(config_.doppler_window, n_chirp);
+  Signal tdm(n_tx * n_chirp);
+  for (std::size_t tx = 0; tx < n_tx; ++tx)
+    for (std::size_t v = 0; v < n_chirp; ++v) {
+      const double k =  // signed bin after fftshift
+          static_cast<double>(v) - static_cast<double>(n_chirp / 2);
+      tdm[tx * n_chirp + v] = std::polar(
+          1.0, -2.0 * kPi * k * static_cast<double>(tx) /
+                   static_cast<double>(n_chirp * n_tx));
+    }
+  doppler_map_ = zero_map(n_tx * n_chirp, n_chirp);
+  for (std::size_t c = 0; c < n_chirp; ++c) {
+    Signal x(n_chirp);
+    x[c] = doppler_window[c];
+    const Signal y = dsp::fft_shift(dsp::fft(x));
+    for (std::size_t row = 0; row < n_tx * n_chirp; ++row)
+      set(doppler_map_, row, c, y[row % n_chirp] * tdm[row]);
+  }
+
+  // Angle.  The azimuth row is an 8-element lambda/2 ULA; spatial
+  // frequency f = d*sin(theta)/lambda = sin(theta)/2 cycles/element.  The
+  // zoom-FFT evaluates only the +-angle_span band on a fine grid (§III's
+  // refinement); disabling zoom widens the band to +-90 deg at the same
+  // bin count, emulating the plain angle-FFT.
+  const double f_max = config_.enable_zoom_fft
+                           ? std::sin(config_.cube.angle_span_rad()) / 2.0
+                           : 0.5;
+  const auto& az_row = array.azimuth_row();
+  const auto& el_row = array.elevation_row();
+  const auto n_az = static_cast<std::size_t>(config_.cube.azimuth_bins);
+  const auto n_el = static_cast<std::size_t>(config_.cube.elevation_bins);
+  angle_map_ = zero_map(n_tx * n_rx, n_az + n_el);
+  for (std::size_t ch = 0; ch < n_tx * n_rx; ++ch) {
+    auto is_channel = [&](const std::pair<int, int>& e) {
+      const auto tx = static_cast<std::size_t>(e.first);
+      return tx * n_rx + static_cast<std::size_t>(e.second) == ch ? 1.0 : 0.0;
+    };
+    Signal az(az_row.size());
+    for (std::size_t i = 0; i < az.size(); ++i) az[i] = is_channel(az_row[i]);
+    // Elevation: a 2-element lambda/2 vertical aperture formed by the
+    // overlapping x-span of the base row and the raised TX2 row.
+    Cd row0{};
+    for (std::size_t i = 2; i < 6 && i < az.size(); ++i) row0 += az[i];
+    row0 /= 4.0;
+    Cd row1{};
+    for (const auto& e : el_row) row1 += is_channel(e);
+    row1 /= static_cast<double>(el_row.size());
+    // IF phase grows with path length, so elements closer to a target on
+    // the +x side have *smaller* phase: the array response is
+    // exp(-j*2*pi*f*i).  The DFT therefore peaks at -f; read the band
+    // from +f_max down to -f_max so bin index increases with theta.
+    const Signal az_spec = dsp::zoom_fft(az, -f_max, f_max, n_az);
+    const Signal el_spec = dsp::zoom_fft(Signal{row0, row1}, -f_max, f_max,
+                                         n_el);
+    for (std::size_t a = 0; a < n_az; ++a)
+      set(angle_map_, ch, a, az_spec[n_az - 1 - a]);
+    for (std::size_t e = 0; e < n_el; ++e)
+      set(angle_map_, ch, n_az + e, el_spec[n_el - 1 - e]);
+  }
 }
 
 double RadarPipeline::range_for_bin(int d) const {
@@ -129,113 +205,18 @@ double RadarPipeline::velocity_for_bin(int v) const {
 
 namespace {
 
-/// Per-thread frame workspace: every per-frame intermediate (bandpass
-/// staging, range profiles, Doppler volume, TDM phase table) lives
-/// here, grown on demand and reused across frames, so a warm
-/// `process_frame_into` performs no heap allocation
-/// (audited in scripts/purity_allowlist.json; scripts/check_purity.sh
-/// asserts it at runtime).
-struct FrameWorkspace {
-  aligned_vector<Cd> filtered;
-  aligned_vector<Cd> profiles;
-  aligned_vector<Cd> doppler;
-  aligned_vector<double> ph_re, ph_im;
-};
-
-FrameWorkspace& frame_workspace(std::size_t filtered_n,
-                                std::size_t profiles_n,
-                                std::size_t doppler_n,
-                                std::size_t phase_n) {
-  thread_local FrameWorkspace ws;
-  if (ws.filtered.size() < filtered_n) ws.filtered.resize(filtered_n);
-  if (ws.profiles.size() < profiles_n) ws.profiles.resize(profiles_n);
-  if (ws.doppler.size() < doppler_n) ws.doppler.resize(doppler_n);
-  if (ws.ph_re.size() < phase_n) ws.ph_re.resize(phase_n);
-  if (ws.ph_im.size() < phase_n) ws.ph_im.resize(phase_n);
-  return ws;
+/// Per-thread frame workspace for the range, Doppler and angle spectra,
+/// grown on demand and reused across frames, so a warm
+/// `process_frame_into` performs no heap allocation (audited in
+/// scripts/purity_allowlist.json; scripts/check_purity.sh asserts it at
+/// runtime).
+double* frame_workspace(std::size_t doubles) {
+  thread_local aligned_vector<double> buf;
+  if (buf.size() < doubles) buf.resize(doubles);
+  return buf.data();
 }
 
 }  // namespace
-
-MMHAND_REALTIME
-void RadarPipeline::range_profiles_into(const IfFrame& frame, Cd* filtered,
-                                        Cd* profiles) const {
-  const int n_tx = frame.num_tx();
-  const int n_rx = frame.num_rx();
-  const int n_chirp = frame.chirps();
-  const int n_samp = frame.samples();
-  const int n_range = config_.cube.range_bins;
-  const std::int64_t n_virt =
-      static_cast<std::int64_t>(n_tx) * n_rx * n_chirp;
-  auto chirp_of = [&](std::int64_t idx, int& tx, int& rx, int& c) {
-    c = static_cast<int>(idx % n_chirp);
-    rx = static_cast<int>((idx / n_chirp) % n_rx);
-    tx = static_cast<int>(idx /
-                          (static_cast<std::int64_t>(n_chirp) * n_rx));
-  };
-
-  // Stage 1: Butterworth bandpass, all chirps in one zero-phase batch
-  // (skipped when disabled; the per-chirp op order is the same as the
-  // fused loop, so results are unchanged).
-  const bool bandpass = config_.enable_bandpass;
-  if (bandpass) {
-    MMHAND_SPAN("radar/bandpass");
-    for (std::int64_t idx = 0; idx < n_virt; ++idx) {
-      int tx, rx, c;
-      chirp_of(idx, tx, rx, c);
-      const Cd* in = frame.chirp_data(tx, rx, c);
-      std::copy(in, in + n_samp,
-                filtered + static_cast<std::ptrdiff_t>(idx) * n_samp);
-    }
-    bandpass_.filtfilt_batch(filtered, static_cast<std::size_t>(n_samp),
-                             static_cast<std::size_t>(n_virt));
-  }
-
-  // Stage 2: window + range-FFT per (tx, rx, chirp); each index owns a
-  // disjoint `n_range` slice of `profiles`.  `width` chirps ride the SIMD
-  // lanes of one split-complex FFT.  Groups are fixed runs of consecutive
-  // chirp indices, so the output is independent of the thread count.
-  MMHAND_SPAN("radar/range_fft");
-  const auto& kernels = simd::kernels();
-  const std::size_t width = static_cast<std::size_t>(kernels.width);
-  const std::int64_t groups =
-      (n_virt + static_cast<std::int64_t>(width) - 1) /
-      static_cast<std::int64_t>(width);
-  parallel_for(0, groups, 1, [&](std::int64_t g) {
-    const std::size_t ns = static_cast<std::size_t>(n_samp);
-    double* re = stage_scratch(2 * ns * width);
-    double* im = re + ns * width;
-    const std::int64_t first = g * static_cast<std::int64_t>(width);
-    const std::size_t lanes = static_cast<std::size_t>(
-        std::min<std::int64_t>(static_cast<std::int64_t>(width),
-                               n_virt - first));
-    for (std::size_t l = 0; l < width; ++l) {
-      // Clamp trailing lanes to the last chirp; they are never scattered.
-      const std::int64_t idx =
-          first + static_cast<std::int64_t>(std::min(l, lanes - 1));
-      int tx, rx, c;
-      chirp_of(idx, tx, rx, c);
-      const Cd* in = bandpass ? filtered +
-                                    static_cast<std::size_t>(idx) * ns
-                              : frame.chirp_data(tx, rx, c);
-      for (std::size_t s = 0; s < ns; ++s) {
-        re[s * width + l] = in[s].real();
-        im[s * width + l] = in[s].imag();
-      }
-    }
-    kernels.scale_bcast(re, im, range_window_.data(), ns);
-    dsp::fft_lanes_pow2(re, im, ns, false);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t base =
-          static_cast<std::size_t>(first + static_cast<std::int64_t>(l)) *
-          n_range;
-      for (int d = 0; d < n_range; ++d)
-        profiles[base + static_cast<std::size_t>(d)] =
-            Cd{re[static_cast<std::size_t>(d) * width + l],
-               im[static_cast<std::size_t>(d) * width + l]};
-    }
-  });
-}
 
 MMHAND_REALTIME
 void RadarPipeline::process_frame_into(const IfFrame& frame,
@@ -250,247 +231,114 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
     static obs::Counter& frames = obs::counter("radar/frames");
     frames.add(1);
   }
-  const int n_tx = frame.num_tx();
-  const int n_rx = frame.num_rx();
-  const int n_chirp = frame.chirps();
-  const int n_samp = frame.samples();
-  const int n_range = config_.cube.range_bins;
-  const int n_az = config_.cube.azimuth_bins;
-  const int n_el = config_.cube.elevation_bins;
+  const auto n_tx = static_cast<std::size_t>(frame.num_tx());
+  const auto n_ch = n_tx * static_cast<std::size_t>(frame.num_rx());
+  const auto n_chirp = static_cast<std::size_t>(frame.chirps());
+  const auto n_samp = static_cast<std::size_t>(frame.samples());
+  MMHAND_CHECK(n_tx * n_chirp == doppler_map_.rows &&
+                   n_ch == angle_map_.rows && n_samp == range_map_.rows,
+               "IF frame geometry does not match the pipeline's chirp config");
+  const std::size_t n_range = range_map_.cols;
+  const std::size_t n_angle = angle_map_.cols;
+  const std::size_t n_cells = n_chirp * n_range;  // (velocity, range) cells
 
   if (obs::metrics_enabled()) {
-    // Roofline inputs, credited once per frame from the frame's geometry
-    // (cheaper and steadier than instrumenting the inner loops).
-    const double nv = static_cast<double>(n_tx) * n_rx * n_chirp;
-    const double ns = static_cast<double>(n_samp);
-    const double cols = static_cast<double>(n_tx) * n_rx * n_range;
-    const double cells = static_cast<double>(n_chirp) * n_range;
-    const double az_n = static_cast<double>(array_.azimuth_row().size());
-    if (config_.enable_bandpass) {
-      // Zero-phase cascade: forward+backward over each complex chirp,
-      // ~9 flops per biquad per real sample, two real channels.
-      const double sos = static_cast<double>(bandpass_.sections().size());
-      note_stage_cost("radar/bandpass.flops", "radar/bandpass.bytes",
-                      36.0 * sos * nv * ns, 64.0 * nv * ns);
-    }
-    note_stage_cost("radar/range_fft.flops", "radar/range_fft.bytes",
-                    nv * (fft_flops(ns) + 6.0 * ns),
-                    16.0 * nv * (ns + n_range));
-    note_stage_cost("radar/doppler_fft.flops", "radar/doppler_fft.bytes",
-                    cols * (fft_flops(n_chirp) + 12.0 * n_chirp),
-                    32.0 * cols * n_chirp);
-    note_stage_cost("radar/zoom_angle_fft.flops",
-                    "radar/zoom_angle_fft.bytes",
-                    cells * (czt_flops(az_n, n_az) + czt_flops(2.0, n_el) +
-                             10.0 * (n_az + n_el)),
-                    cells * (16.0 * (az_n + 2.0) + 4.0 * (n_az + n_el)));
+    // Credited once per frame from the map shapes (cheaper and steadier
+    // than instrumenting the kernels).  The angle stage also reads its
+    // product once more and writes the float cube.
+    static obs::Counter& range_flops = obs::counter("radar/range_fft.flops");
+    static obs::Counter& range_bytes = obs::counter("radar/range_fft.bytes");
+    static obs::Counter& doppler_flops =
+        obs::counter("radar/doppler_fft.flops");
+    static obs::Counter& doppler_bytes =
+        obs::counter("radar/doppler_fft.bytes");
+    static obs::Counter& angle_flops =
+        obs::counter("radar/zoom_angle_fft.flops");
+    static obs::Counter& angle_bytes =
+        obs::counter("radar/zoom_angle_fft.bytes");
+    const double ch = static_cast<double>(n_ch);
+    const double nc = static_cast<double>(n_chirp);
+    const double nr = static_cast<double>(n_range);
+    const double cells = static_cast<double>(n_cells);
+    const double na = static_cast<double>(n_angle);
+    note_products(range_flops, range_bytes, 1.0, ch * nc, nr,
+                  static_cast<double>(n_samp));
+    note_products(doppler_flops, doppler_bytes, ch, nc, nr, nc);
+    note_products(angle_flops, angle_bytes, 1.0, cells, na, ch,
+                  20.0 * cells * na);
   }
 
-  // All per-frame intermediates live in the per-thread workspace; the
-  // first frame on a thread sizes it, later frames stage into warm
-  // storage.
-  const std::int64_t n_virt =
-      static_cast<std::int64_t>(n_tx) * n_rx * n_chirp;
-  const std::size_t profile_n =
-      static_cast<std::size_t>(n_virt) * n_range;
-  FrameWorkspace& ws = frame_workspace(
-      config_.enable_bandpass
-          ? static_cast<std::size_t>(n_virt) * n_samp
-          : 0,
-      profile_n, profile_n,
-      static_cast<std::size_t>(n_tx) * n_chirp);
+  // Range, Doppler and angle spectra, split re/im.  The range and Doppler
+  // spectra are [channel][chirp or velocity bin][range bin]; the angle
+  // spectrum is [velocity bin][range bin][angle bin], the cube's layout.
+  const std::size_t spectrum = n_ch * n_cells;
+  double* rng_re = frame_workspace(4 * spectrum + 2 * n_cells * n_angle);
+  double* rng_im = rng_re + spectrum;
+  double* dop_re = rng_im + spectrum;
+  double* dop_im = dop_re + spectrum;
+  double* ang_re = dop_im + spectrum;
+  double* ang_im = ang_re + n_cells * n_angle;
+  const auto& kernels = simd::kernels();
 
-  range_profiles_into(frame, ws.filtered.data(), ws.profiles.data());
-  const Cd* profiles = ws.profiles.data();
-  auto profile_at = [&](int tx, int rx, int c, int d) -> Cd {
-    return profiles[((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp +
-                     c) *
-                        n_range +
-                    static_cast<std::size_t>(d)];
-  };
-
-  // Doppler-FFT per (tx, rx, range bin), with fftshift and TDM phase
-  // compensation: TX i fires i*Tc later within each chirp loop, adding a
-  // Doppler-dependent phase 2*pi*f_d*i*Tc that must be removed before the
-  // angle-FFT can combine virtual channels coherently.
-  Cd* doppler = ws.doppler.data();
-  auto doppler_at = [&](int tx, int rx, int v, int d) -> Cd& {
-    return doppler[((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp +
-                    v) *
-                       n_range +
-                   static_cast<std::size_t>(d)];
-  };
-  // One Doppler-FFT per (tx, rx, range bin); each index owns the
-  // doppler(tx, rx, *, d) column.
   {
-    MMHAND_SPAN("radar/doppler_fft");
-    const std::int64_t n_cols =
-        static_cast<std::int64_t>(n_tx) * n_rx * n_range;
-    // TDM compensation factors depend only on (tx, doppler bin);
-    // recompute the n_tx * n_chirp table into the workspace each frame.
-    const std::size_t nc = static_cast<std::size_t>(n_chirp);
-    double* ph_re = ws.ph_re.data();
-    double* ph_im = ws.ph_im.data();
-    for (int tx = 0; tx < n_tx; ++tx)
-      for (int v = 0; v < n_chirp; ++v) {
-        const int k = v - n_chirp / 2;
-        const double comp = -2.0 * kPi * static_cast<double>(k) *
-                            static_cast<double>(tx) /
-                            (static_cast<double>(n_chirp) * n_tx);
-        const Cd p = std::polar(1.0, comp);
-        ph_re[static_cast<std::size_t>(tx) * nc + v] = p.real();
-        ph_im[static_cast<std::size_t>(tx) * nc + v] = p.imag();
-      }
-    const auto& kernels = simd::kernels();
-    const std::size_t width = static_cast<std::size_t>(kernels.width);
-    const std::size_t half = (nc + 1) / 2;  // fft_shift offset
-    const std::int64_t groups =
-        (n_cols + static_cast<std::int64_t>(width) - 1) /
-        static_cast<std::int64_t>(width);
-    parallel_for(0, groups, 1, [&](std::int64_t g) {
-      double* re = stage_scratch(4 * nc * width);
-      double* im = re + nc * width;
-      double* pr = im + nc * width;
-      double* pi = pr + nc * width;
-      const std::int64_t first = g * static_cast<std::int64_t>(width);
-      const std::size_t lanes = static_cast<std::size_t>(
-          std::min<std::int64_t>(static_cast<std::int64_t>(width),
-                                 n_cols - first));
-      int txs[8], rxs[8], ds[8];
-      for (std::size_t l = 0; l < width; ++l) {
-        const std::int64_t idx =
-            first + static_cast<std::int64_t>(std::min(l, lanes - 1));
-        ds[l] = static_cast<int>(idx % n_range);
-        rxs[l] = static_cast<int>((idx / n_range) % n_rx);
-        txs[l] = static_cast<int>(
-            idx / (static_cast<std::int64_t>(n_range) * n_rx));
-        for (int c = 0; c < n_chirp; ++c) {
-          const Cd p = profile_at(txs[l], rxs[l], c, ds[l]);
-          re[static_cast<std::size_t>(c) * width + l] = p.real();
-          im[static_cast<std::size_t>(c) * width + l] = p.imag();
-        }
-      }
-      kernels.scale_bcast(re, im, doppler_window_.data(), nc);
-      dsp::fft_lanes_pow2(re, im, nc, false);
-      // Apply the TDM phase in pre-shift row order: row r lands at
-      // shifted bin v with r = (v + half) % nc.
-      for (std::size_t r = 0; r < nc; ++r) {
-        const std::size_t v = (r + nc - half) % nc;
-        for (std::size_t l = 0; l < width; ++l) {
-          pr[r * width + l] =
-              ph_re[static_cast<std::size_t>(txs[l]) * nc + v];
-          pi[r * width + l] =
-              ph_im[static_cast<std::size_t>(txs[l]) * nc + v];
-        }
-      }
-      kernels.cmul(re, im, pr, pi, nc * width);
-      for (std::size_t l = 0; l < lanes; ++l)
-        for (std::size_t v = 0; v < nc; ++v) {
-          const std::size_t r = (v + half) % nc;
-          doppler_at(txs[l], rxs[l], static_cast<int>(v), ds[l]) =
-              Cd{re[r * width + l], im[r * width + l]};
-        }
+    // A is the frame itself: one row per (tx, rx, chirp), read in place
+    // as interleaved complex doubles.  Blocks of rows run on the pool;
+    // rows of a product are independent, so the split moves no bit.
+    MMHAND_SPAN("radar/range_fft");
+    const double* x =
+        reinterpret_cast<const double*>(frame.chirp_data(0, 0, 0));
+    constexpr std::size_t kRowsPerTask = 16;
+    const std::size_t rows = n_ch * n_chirp;
+    const auto tasks =
+        static_cast<std::int64_t>((rows + kRowsPerTask - 1) / kRowsPerTask);
+    parallel_for(0, tasks, 1, [&](std::int64_t task) {
+      const std::size_t first = static_cast<std::size_t>(task) * kRowsPerTask;
+      const double* a = x + first * 2 * n_samp;
+      kernels.cgemm({.a_re = a, .a_im = a + 1, .a_row = 2 * n_samp,
+                     .a_col = 2, .b_re = range_map_.re.data(),
+                     .b_im = range_map_.im.data(), .ldb = n_range,
+                     .c_re = rng_re + first * n_range,
+                     .c_im = rng_im + first * n_range, .ldc = n_range,
+                     .m = static_cast<int>(std::min(kRowsPerTask,
+                                                    rows - first)),
+                     .n = static_cast<int>(n_range),
+                     .k = static_cast<int>(n_samp)});
     });
   }
-
-  // Angle-FFTs.  The azimuth row is an 8-element lambda/2 ULA; spatial
-  // frequency f = d*sin(theta)/lambda = sin(theta)/2 cycles/element.  The
-  // zoom-FFT evaluates only the +-angle_span band on a fine grid (§III's
-  // refinement); disabling zoom widens the band to +-90 deg at the same bin
-  // count, emulating the plain angle-FFT.
-  const double span = config_.cube.angle_span_rad();
-  const double f_max =
-      config_.enable_zoom_fft ? std::sin(span) / 2.0 : 0.5;
-  const auto& az_row = array_.azimuth_row();
-  const auto& el_row = array_.elevation_row();
-
-  // Cube assembly: shape (or reshape) and zero the output tensor the
-  // angle stage fills in place; same-shaped reuse keeps the storage.
+  {
+    // One product per virtual channel: its TX's map times the channel's
+    // [chirp][range bin] block.
+    MMHAND_SPAN("radar/doppler_fft");
+    for (std::size_t ch = 0; ch < n_ch; ++ch) {
+      const std::size_t map = ch / (n_ch / n_tx) * n_chirp * n_chirp;
+      const std::size_t block = ch * n_cells;
+      kernels.cgemm({.a_re = doppler_map_.re.data() + map,
+                     .a_im = doppler_map_.im.data() + map,
+                     .a_row = n_chirp, .a_col = 1,
+                     .b_re = rng_re + block, .b_im = rng_im + block,
+                     .ldb = n_range, .c_re = dop_re + block,
+                     .c_im = dop_im + block, .ldc = n_range,
+                     .m = static_cast<int>(n_chirp),
+                     .n = static_cast<int>(n_range),
+                     .k = static_cast<int>(n_chirp)});
+    }
+  }
   {
     MMHAND_SPAN("radar/cube_assembly");
-    out->reset(n_chirp, n_range, n_az + n_el);
+    out->reset(static_cast<int>(n_chirp), static_cast<int>(n_range),
+               static_cast<int>(n_angle));
   }
-  RadarCube& cube = *out;
-  // One zoom angle-FFT pair per (v, d); each index owns the cube(v, d, *)
-  // fiber.
+  // A(cell, ch) is channel ch's Doppler spectrum at the cell, so the rows
+  // of C are cube cells and the log pass writes the cube in order.
   MMHAND_SPAN("radar/zoom_angle_fft");
-  const std::int64_t n_cells =
-      static_cast<std::int64_t>(n_chirp) * n_range;
-  // `width` (v, d) cells share the lane-batched Bluestein plans: the
-  // per-cell chirp factors and kernel FFT are amortized into the cached
-  // plans, and the two convolution FFTs per cell run across lanes.
-  const auto& kernels = simd::kernels();
-  const std::size_t width = static_cast<std::size_t>(kernels.width);
-  const std::size_t az_n = az_row.size();
-  const dsp::CztPlan& az_plan =
-      dsp::zoom_plan(az_n, -f_max, f_max, static_cast<std::size_t>(n_az));
-  const dsp::CztPlan& el_plan =
-      dsp::zoom_plan(2, -f_max, f_max, static_cast<std::size_t>(n_el));
-  const std::int64_t groups =
-      (n_cells + static_cast<std::int64_t>(width) - 1) /
-      static_cast<std::int64_t>(width);
-  parallel_for(0, groups, 1, [&](std::int64_t g) {
-    const std::size_t na = static_cast<std::size_t>(n_az);
-    const std::size_t ne = static_cast<std::size_t>(n_el);
-    const std::size_t mag_n = std::max(na, ne) * width;
-    double* sig_re = stage_scratch(2 * az_n * width + 2 * na * width +
-                                   2 * 2 * width + 2 * ne * width + mag_n);
-    double* sig_im = sig_re + az_n * width;
-    double* out_re = sig_im + az_n * width;
-    double* out_im = out_re + na * width;
-    double* el_re = out_im + na * width;
-    double* el_im = el_re + 2 * width;
-    double* eo_re = el_im + 2 * width;
-    double* eo_im = eo_re + ne * width;
-    double* mag = eo_im + ne * width;
-    const std::int64_t first = g * static_cast<std::int64_t>(width);
-    const std::size_t lanes = static_cast<std::size_t>(
-        std::min<std::int64_t>(static_cast<std::int64_t>(width),
-                               n_cells - first));
-    int vs[8], ds[8];
-    for (std::size_t l = 0; l < width; ++l) {
-      const std::int64_t cell =
-          first + static_cast<std::int64_t>(std::min(l, lanes - 1));
-      vs[l] = static_cast<int>(cell / n_range);
-      ds[l] = static_cast<int>(cell % n_range);
-      for (std::size_t i = 0; i < az_n; ++i) {
-        const Cd s = doppler_at(az_row[i].first, az_row[i].second, vs[l],
-                                ds[l]);
-        sig_re[i * width + l] = s.real();
-        sig_im[i * width + l] = s.imag();
-      }
-      // Elevation: a 2-element lambda/2 vertical aperture formed by the
-      // overlapping x-span of the base row and the raised TX2 row.
-      Cd row0{};
-      for (std::size_t i = 2; i < 6 && i < az_n; ++i)
-        row0 += doppler_at(az_row[i].first, az_row[i].second, vs[l], ds[l]);
-      row0 /= 4.0;
-      Cd row1{};
-      for (const auto& [tx, rx] : el_row)
-        row1 += doppler_at(tx, rx, vs[l], ds[l]);
-      row1 /= static_cast<double>(el_row.size());
-      el_re[0 * width + l] = row0.real();
-      el_im[0 * width + l] = row0.imag();
-      el_re[1 * width + l] = row1.real();
-      el_im[1 * width + l] = row1.imag();
-    }
-    // IF phase grows with path length, so elements closer to a target on
-    // the +x side have *smaller* phase: the array response is
-    // exp(-j*2*pi*f*i).  The DFT therefore peaks at -f; read the band
-    // from +f_max down to -f_max so bin index increases with theta.
-    az_plan.run_lanes(sig_re, sig_im, out_re, out_im);
-    kernels.vmag(out_re, out_im, mag, na * width);
-    for (std::size_t l = 0; l < lanes; ++l)
-      for (int a = 0; a < n_az; ++a)
-        cube.at(vs[l], ds[l], a) = static_cast<float>(std::log1p(
-            mag[static_cast<std::size_t>(n_az - 1 - a) * width + l]));
-    el_plan.run_lanes(el_re, el_im, eo_re, eo_im);
-    kernels.vmag(eo_re, eo_im, mag, ne * width);
-    for (std::size_t l = 0; l < lanes; ++l)
-      for (int e = 0; e < n_el; ++e)
-        cube.at(vs[l], ds[l], n_az + e) = static_cast<float>(std::log1p(
-            mag[static_cast<std::size_t>(n_el - 1 - e) * width + l]));
-  });
+  kernels.cgemm({.a_re = dop_re, .a_im = dop_im, .a_row = 1,
+                 .a_col = n_cells, .b_re = angle_map_.re.data(),
+                 .b_im = angle_map_.im.data(), .ldb = n_angle,
+                 .c_re = ang_re, .c_im = ang_im, .ldc = n_angle,
+                 .m = static_cast<int>(n_cells),
+                 .n = static_cast<int>(n_angle),
+                 .k = static_cast<int>(n_ch)});
+  kernels.log1p_abs(ang_re, ang_im, out->data().data(), n_cells * n_angle);
 }
 
 MMHAND_REALTIME

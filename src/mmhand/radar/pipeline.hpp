@@ -2,12 +2,12 @@
 
 // Signal pre-processing pipeline (§III): bandpass filtering, range-FFT,
 // Doppler-FFT with TDM phase compensation, and zoom angle-FFTs producing
-// the Radar Cube.
+// the Radar Cube.  Everything before the magnitude is linear in the IF
+// samples, so the constructor folds each stage into one small complex
+// map and a frame is three matrix products plus log compression
+// (DESIGN §3).
 
-#include <complex>
-#include <vector>
-
-#include "mmhand/dsp/butterworth.hpp"
+#include "mmhand/common/aligned.hpp"
 #include "mmhand/dsp/window.hpp"
 #include "mmhand/radar/antenna_array.hpp"
 #include "mmhand/radar/chirp_config.hpp"
@@ -29,6 +29,12 @@ struct PipelineConfig {
   dsp::WindowType doppler_window = dsp::WindowType::kHann;
 };
 
+/// A row-major split-complex matrix.
+struct ComplexMap {
+  std::size_t rows = 0, cols = 0;
+  aligned_vector<double> re, im;
+};
+
 /// Turns raw IF frames into Radar Cubes.
 class RadarPipeline {
  public:
@@ -39,8 +45,9 @@ class RadarPipeline {
   RadarCube process_frame(const IfFrame& frame) const;
 
   /// Steady-state variant: assembles the cube into `*out`, reusing its
-  /// storage when the shape is unchanged, and staging every
-  /// intermediate in grow-on-demand per-thread scratch.  On every ISA
+  /// storage when the shape is unchanged, and staging the range,
+  /// Doppler and angle spectra in a grow-on-demand per-thread workspace.
+  /// The frame must have the chirp config's geometry.  On every ISA
   /// a warmed-up call performs zero heap allocations
   /// (scripts/check_purity.sh asserts this at runtime; `mmhand_lint
   /// --purity` proves it statically from the MMHAND_REALTIME root).
@@ -59,21 +66,19 @@ class RadarPipeline {
   const ChirpConfig& chirp() const { return chirp_; }
 
  private:
-  /// Range profiles for every (tx, rx, chirp): bandpass + window + FFT,
-  /// cropped to the configured range bins.  `filtered` stages the
-  /// bandpass batch (num_virtual * samples values, untouched when the
-  /// bandpass is disabled); `profiles` receives num_virtual * range_bins
-  /// values.
-  void range_profiles_into(const IfFrame& frame,
-                           std::complex<double>* filtered,
-                           std::complex<double>* profiles) const;
-
   ChirpConfig chirp_;
-  const AntennaArray& array_;
   PipelineConfig config_;
-  dsp::SosFilter bandpass_;
-  std::vector<double> range_window_;
-  std::vector<double> doppler_window_;
+  /// B operand of the range product: [sample][range bin], the bandpass,
+  /// range window, FFT and crop applied to one chirp.
+  ComplexMap range_map_;
+  /// A operands of the Doppler products, one per TX stacked by rows:
+  /// [tx][velocity bin][chirp], the Doppler window, FFT, fftshift and
+  /// TDM phase compensation.
+  ComplexMap doppler_map_;
+  /// B operand of the angle product: [virtual channel][angle bin], the
+  /// azimuth zoom-FFT, the elevation row averages and zoom-FFT, and the
+  /// bin reversal that orders both spectra by increasing angle.
+  ComplexMap angle_map_;
 };
 
 }  // namespace mmhand::radar

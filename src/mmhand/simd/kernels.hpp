@@ -1,8 +1,8 @@
 #pragma once
 
 // Backend kernel-table accessors, consumed by dispatch.cpp and by
-// dsp/fft.cpp, which builds ISA-independent CZT plan tables with the
-// width-1 table.
+// dsp/fft.cpp, which builds the CZT kernel spectrum with the width-1
+// table whatever ISA is active.
 // Each backend lives in its own translation unit so ISA-specific
 // compile flags (-mavx2 -mfma) never leak into code that runs before
 // dispatch has checked CPUID.

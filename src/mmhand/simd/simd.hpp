@@ -11,21 +11,19 @@
 // inside src/mmhand/simd/.
 //
 // Data layout: the DSP kernels work on split-complex (SoA) double
-// arrays; the GEMM tile kernel (`gemm_panel`) on float panels.
-// Lane-batched ("lanes") kernels interleave `width` independent
-// signals element-major: element k of lane l lives at [k*width + l],
-// so one vector load fetches element k of every lane.  Single-signal
-// ("soa") kernels vectorize across the element index instead.
+// arrays, vectorized across the element index; the GEMM tile kernel
+// (`gemm_panel`) on float panels.  The radar front end is three
+// precomputed complex maps (DESIGN §3), so its whole hot path is two
+// entries: the split-complex product `cgemm` and the fused magnitude +
+// log compression `log1p_abs`.
 //
 // Numerical contract (DESIGN §9): one implementation; the scalar ISA is
-// its width-1 instance.  dsp/ and radar/ run the same lane-batched code
-// on every ISA and only the table differs.  The width-1 table's float
-// radar cube is bitwise the pre-SIMD one (the cube golden pins it);
-// other doubles may move by ulps.  Vector ISAs may reassociate and fuse
-// (FMA), and agree with it to 1e-9 relative on the parity suite.  The
-// GEMM tile kernel gives every output element one fmadd chain from 0
-// over ascending k on every ISA; the width-1 fmadd is unfused, so NN
-// outputs differ across ISAs by ulps.
+// its width-1 instance and only the table differs.  Both products —
+// `cgemm` and the GEMM tile kernel — give every output element one fmadd
+// chain from 0 over ascending k on every ISA, so results do not depend
+// on tiling or thread count; the width-1 fmadd is unfused, so outputs
+// differ across ISAs by ulps.  The cube goldens pin each ISA's bits; the
+// radar oracle test is what justifies their values.
 
 #include <cstddef>
 
@@ -58,18 +56,28 @@ Isa active_isa();
 /// ISA unchanged — when the host cannot execute `isa`.
 bool set_isa(Isa isa);
 
-/// One entry per vectorized primitive.  `width` is the lane count of
-/// the batched layouts (4 for AVX2, 2 for NEON, 1 for scalar).
+/// Operands of the split-complex product C[m x n] = A[m x k] · B[k x n].
+/// A is addressed through two strides so a caller can feed interleaved
+/// std::complex<double> data (re/im one double apart, column step 2) or
+/// a transposed view without copying; B and C are split re/im, row-major.
+struct ComplexProduct {
+  const double* a_re;
+  const double* a_im;
+  std::size_t a_row;  ///< A(i, p) at a_*[i*a_row + p*a_col]
+  std::size_t a_col;
+  const double* b_re;
+  const double* b_im;
+  std::size_t ldb;  ///< B(p, j) at b_*[p*ldb + j]
+  double* c_re;
+  double* c_im;
+  std::size_t ldc;  ///< C(i, j) at c_*[i*ldc + j]
+  int m, n, k;
+};
+
+/// One entry per vectorized primitive.  `width` is the double lane count
+/// (4 for AVX2, 2 for NEON, 1 for scalar).
 struct Kernels {
   int width = 1;
-
-  /// Radix-2 FFT of `width` interleaved signals of power-of-two size
-  /// n.  re/im hold n*width doubles in lane-batched layout.  `tw` is
-  /// the interleaved forward twiddle table (n/2 complex values,
-  /// re,im pairs).  When `inverse`, conjugates the twiddles and
-  /// applies the 1/n normalization.
-  void (*fft_lanes)(double* re, double* im, std::size_t n, const double* tw,
-                    bool inverse);
 
   /// Radix-2 FFT of one signal of power-of-two size n in SoA form,
   /// vectorized across the butterfly index.  stw_re/stw_im are the
@@ -78,29 +86,27 @@ struct Kernels {
   void (*fft_soa)(double* re, double* im, std::size_t n, const double* stw_re,
                   const double* stw_im, bool inverse);
 
-  /// x[k*width+l] *= b[k] for k < n: complex multiply with a
-  /// per-element broadcast factor (chirp/spectrum tables).
-  void (*cmul_bcast)(double* re, double* im, const double* b_re,
-                     const double* b_im, std::size_t n);
-
   /// x[j] *= b[j] for j < count: flat elementwise complex multiply.
   void (*cmul)(double* re, double* im, const double* b_re, const double* b_im,
                std::size_t count);
 
-  /// x[k*width+l] *= s[k] for k < n: real broadcast (window apply).
-  void (*scale_bcast)(double* re, double* im, const double* s, std::size_t n);
-
-  /// Direct-form-II-transposed biquad cascade over `width` interleaved
-  /// real channels: x[t*width+l], t < len.  `coeffs` holds nsec
-  /// sections as [b0,b1,b2,a1,a2]; `gain` is applied after the last
-  /// section.  dir=+1 filters forward in t, dir=-1 backward (the
-  /// filtfilt reverse pass without materializing the reversal).
-  void (*sos_lanes)(double* x, std::size_t len, const double* coeffs,
-                    std::size_t nsec, double gain, int dir);
-
   /// out[j] = sqrt(re[j]^2 + im[j]^2) for j < count.
   void (*vmag)(const double* re, const double* im, double* out,
                std::size_t count);
+
+  /// Split-complex product C = A·B (overwrites C).  Each output is one
+  /// fmadd chain from 0 over ascending p — the real part takes
+  /// +a_re*b_re then -a_im*b_im, the imaginary part a_re*b_im then
+  /// a_im*b_re — so a row or column of C does not depend on m, n or
+  /// how the kernel tiles them.
+  void (*cgemm)(const ComplexProduct& op);
+
+  /// out[j] = (float) log1p(|re[j] + i*im[j]|) for j < count: the radar
+  /// cube's magnitude and log compression in one pass.  Within one float
+  /// ulp of (float)std::log1p(std::hypot(re, im)) for finite inputs whose
+  /// magnitude is below 1e150; non-finite inputs give NaN.
+  void (*log1p_abs)(const double* re, const double* im, float* out,
+                    std::size_t count);
 
   /// Float GEMM tile kernel: C[m x n] += A * B for one B panel of
   /// gemm_nr columns.  Element (p, j) of the panel is b[p*ldb + j];

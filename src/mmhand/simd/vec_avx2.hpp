@@ -13,6 +13,8 @@
 
 #include <cstddef>
 
+#include "mmhand/simd/vec_scalar.hpp"  // split_exponent bit constants
+
 namespace mmhand::simd {
 
 struct VAvx2 {
@@ -33,6 +35,9 @@ struct VAvx2 {
   friend VAvx2 operator*(VAvx2 a, VAvx2 b) {
     return {_mm256_mul_pd(a.v, b.v)};
   }
+  friend VAvx2 operator/(VAvx2 a, VAvx2 b) {
+    return {_mm256_div_pd(a.v, b.v)};
+  }
 
   /// a*b + c
   static VAvx2 fmadd(VAvx2 a, VAvx2 b, VAvx2 c) {
@@ -42,7 +47,27 @@ struct VAvx2 {
   static VAvx2 fmsub(VAvx2 a, VAvx2 b, VAvx2 c) {
     return {_mm256_fmsub_pd(a.v, b.v, c.v)};
   }
+  /// c - a*b
+  static VAvx2 fnmadd(VAvx2 a, VAvx2 b, VAvx2 c) {
+    return {_mm256_fnmadd_pd(a.v, b.v, c.v)};
+  }
   static VAvx2 sqrt(VAvx2 a) { return {_mm256_sqrt_pd(a.v)}; }
+
+  /// VScalar::split_exponent per lane.  The biased exponent becomes a
+  /// double through the 2^52 magic number (AVX2 has no int64 -> double).
+  static VAvx2 split_exponent(VAvx2 x, VAvx2* m) {
+    const __m256i ix = _mm256_add_epi64(
+        _mm256_castpd_si256(x.v),
+        _mm256_set1_epi64x(static_cast<long long>(kSqrtHalfOffset)));
+    m->v = _mm256_castsi256_pd(_mm256_add_epi64(
+        _mm256_and_si256(
+            ix, _mm256_set1_epi64x(static_cast<long long>(kMantissaMask))),
+        _mm256_set1_epi64x(static_cast<long long>(kSqrtHalfBits))));
+    const __m256d magic = _mm256_set1_pd(4503599627370496.0);  // 2^52
+    const __m256d e = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_srli_epi64(ix, 52), _mm256_castpd_si256(magic)));
+    return {_mm256_sub_pd(e, _mm256_set1_pd(4503599627370496.0 + 1023.0))};
+  }
 };
 
 /// 8 float lanes for the GEMM tile kernel.

@@ -10,6 +10,8 @@
 
 #include <cstddef>
 
+#include "mmhand/simd/vec_scalar.hpp"  // split_exponent bit constants
+
 namespace mmhand::simd {
 
 struct VNeon {
@@ -24,6 +26,7 @@ struct VNeon {
   friend VNeon operator+(VNeon a, VNeon b) { return {vaddq_f64(a.v, b.v)}; }
   friend VNeon operator-(VNeon a, VNeon b) { return {vsubq_f64(a.v, b.v)}; }
   friend VNeon operator*(VNeon a, VNeon b) { return {vmulq_f64(a.v, b.v)}; }
+  friend VNeon operator/(VNeon a, VNeon b) { return {vdivq_f64(a.v, b.v)}; }
 
   /// a*b + c
   static VNeon fmadd(VNeon a, VNeon b, VNeon c) {
@@ -33,7 +36,22 @@ struct VNeon {
   static VNeon fmsub(VNeon a, VNeon b, VNeon c) {
     return {vnegq_f64(vfmsq_f64(c.v, a.v, b.v))};
   }
+  /// c - a*b
+  static VNeon fnmadd(VNeon a, VNeon b, VNeon c) {
+    return {vfmsq_f64(c.v, a.v, b.v)};
+  }
   static VNeon sqrt(VNeon a) { return {vsqrtq_f64(a.v)}; }
+
+  /// VScalar::split_exponent per lane.
+  static VNeon split_exponent(VNeon x, VNeon* m) {
+    const uint64x2_t ix =
+        vaddq_u64(vreinterpretq_u64_f64(x.v), vdupq_n_u64(kSqrtHalfOffset));
+    m->v = vreinterpretq_f64_u64(vaddq_u64(
+        vandq_u64(ix, vdupq_n_u64(kMantissaMask)),
+        vdupq_n_u64(kSqrtHalfBits)));
+    return {vsubq_f64(vcvtq_f64_u64(vshrq_n_u64(ix, 52)),
+                      vdupq_n_f64(1023.0))};
+  }
 };
 
 /// 4 float lanes for the GEMM tile kernel.

@@ -3,18 +3,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "mmhand/common/error.hpp"
 #include "mmhand/common/rng.hpp"
+#include "mmhand/dsp/butterworth.hpp"
+#include "mmhand/dsp/fft.hpp"
+#include "mmhand/dsp/window.hpp"
 #include "mmhand/radar/antenna_array.hpp"
 #include "mmhand/radar/chirp_config.hpp"
-#include "mmhand/dsp/fft.hpp"
 #include "mmhand/radar/if_simulator.hpp"
 #include "mmhand/radar/pipeline.hpp"
+#include "mmhand/simd/simd.hpp"
 
 namespace mmhand::radar {
 namespace {
+
+using simd::Isa;
 
 ChirpConfig paper_chirp() {
   ChirpConfig c;  // defaults mirror the paper's IWR1443 setup
@@ -385,14 +393,168 @@ TEST(Pipeline, RejectsTooManyRangeBins) {
   EXPECT_THROW(RadarPipeline(c, arr, pc), Error);
 }
 
+TEST(Pipeline, RejectsFrameOfOtherGeometry) {
+  // The maps are sized from the chirp config, so a frame of any other
+  // shape must be refused rather than read out of bounds.
+  const ChirpConfig c = paper_chirp();
+  const RadarPipeline pipe(c, AntennaArray(c), PipelineConfig{});
+  EXPECT_THROW(pipe.process_frame(IfFrame(c.num_tx, c.num_rx,
+                                          c.chirps_per_frame,
+                                          c.samples_per_chirp / 2)),
+               Error);
+  EXPECT_THROW(pipe.process_frame(IfFrame(c.num_tx, c.num_rx,
+                                          2 * c.chirps_per_frame,
+                                          c.samples_per_chirp)),
+               Error);
+  EXPECT_NO_THROW(pipe.process_frame(IfFrame(
+      c.num_tx, c.num_rx, c.chirps_per_frame, c.samples_per_chirp)));
+}
+
 TEST(Pipeline, RejectsNonPowerOfTwoGeometry) {
-  // The range and Doppler stages are radix-2 lane FFTs only.
+  // The maps are built from radix-2 FFTs only.
   ChirpConfig c = paper_chirp();
   c.samples_per_chirp = 48;
   EXPECT_THROW(RadarPipeline(c, AntennaArray(c), PipelineConfig{}), Error);
   c = paper_chirp();
   c.chirps_per_frame = 12;
   EXPECT_THROW(RadarPipeline(c, AntennaArray(c), PipelineConfig{}), Error);
+}
+
+// --- cube oracle ----------------------------------------------------------
+
+using Cd = std::complex<double>;
+using Signal = std::vector<Cd>;
+
+/// The §III chain written out one signal at a time through the
+/// per-signal dsp:: functions, with the log compression in double: an
+/// independent statement of what the pipeline's precomputed maps must
+/// reproduce.  Returns the cube in RadarCube's [v][d][angle] order.
+std::vector<double> reference_cube(const ChirpConfig& c,
+                                   const AntennaArray& arr,
+                                   const PipelineConfig& pc,
+                                   const IfFrame& frame) {
+  const int n_tx = frame.num_tx(), n_rx = frame.num_rx();
+  const int n_chirp = frame.chirps(), n_samp = frame.samples();
+  const int n_range = pc.cube.range_bins;
+  const int n_az = pc.cube.azimuth_bins, n_el = pc.cube.elevation_bins;
+
+  // Range profiles per (tx, rx, chirp): bandpass, window, FFT, crop.
+  dsp::SosFilter bandpass;
+  if (pc.enable_bandpass) {
+    const double fs = c.sample_rate_hz();
+    bandpass = dsp::butterworth_bandpass(
+        pc.butterworth_order, c.beat_frequency_hz(pc.band_lo_m),
+        std::min(c.beat_frequency_hz(pc.band_hi_m), 0.45 * fs), fs);
+  }
+  const auto range_window =
+      dsp::make_window(pc.range_window, static_cast<std::size_t>(n_samp));
+  auto profile = [&](int tx, int rx, int chirp) {
+    const Cd* in = frame.chirp_data(tx, rx, chirp);
+    Signal x(in, in + n_samp);
+    if (pc.enable_bandpass) x = bandpass.filtfilt(x);
+    for (int s = 0; s < n_samp; ++s) x[s] *= range_window[s];
+    return dsp::fft(x);
+  };
+  std::vector<Signal> profiles;  // index (tx * n_rx + rx) * n_chirp + chirp
+  for (int tx = 0; tx < n_tx; ++tx)
+    for (int rx = 0; rx < n_rx; ++rx)
+      for (int chirp = 0; chirp < n_chirp; ++chirp)
+        profiles.push_back(profile(tx, rx, chirp));
+
+  // Doppler spectra per (tx, rx, range bin): window, FFT, fftshift, TDM
+  // phase compensation.
+  const auto doppler_window =
+      dsp::make_window(pc.doppler_window, static_cast<std::size_t>(n_chirp));
+  std::vector<Cd> doppler(profiles.size() * n_range);
+  auto dop = [&](int tx, int rx, int v, int d) -> Cd& {
+    return doppler[((static_cast<std::size_t>(tx) * n_rx + rx) * n_chirp +
+                    v) * n_range + d];
+  };
+  for (int tx = 0; tx < n_tx; ++tx)
+    for (int rx = 0; rx < n_rx; ++rx)
+      for (int d = 0; d < n_range; ++d) {
+        Signal x(n_chirp);
+        for (int chirp = 0; chirp < n_chirp; ++chirp)
+          x[chirp] = profiles[(tx * n_rx + rx) * n_chirp + chirp][d] *
+                     doppler_window[chirp];
+        const Signal y = dsp::fft_shift(dsp::fft(x));
+        for (int v = 0; v < n_chirp; ++v)
+          dop(tx, rx, v, d) =
+              y[v] * std::polar(1.0, -2.0 * M_PI * (v - n_chirp / 2) * tx /
+                                         (static_cast<double>(n_chirp) *
+                                          n_tx));
+      }
+
+  // Azimuth and elevation zoom-FFTs per (v, d), bins ordered by angle.
+  const double f_max =
+      pc.enable_zoom_fft ? std::sin(pc.cube.angle_span_rad()) / 2.0 : 0.5;
+  const auto& az_row = arr.azimuth_row();
+  const auto& el_row = arr.elevation_row();
+  const int n_angle = n_az + n_el;
+  std::vector<double> cube(static_cast<std::size_t>(n_chirp) * n_range *
+                           n_angle);
+  for (int v = 0; v < n_chirp; ++v)
+    for (int d = 0; d < n_range; ++d) {
+      Signal az;
+      for (const auto& [tx, rx] : az_row) az.push_back(dop(tx, rx, v, d));
+      Cd row0{}, row1{};
+      for (int i = 2; i < 6; ++i) row0 += az[i];
+      for (const auto& [tx, rx] : el_row) row1 += dop(tx, rx, v, d);
+      const Signal el = {row0 / 4.0,
+                         row1 / static_cast<double>(el_row.size())};
+      const Signal az_spec = dsp::zoom_fft(az, -f_max, f_max, n_az);
+      const Signal el_spec = dsp::zoom_fft(el, -f_max, f_max, n_el);
+      double* cell = &cube[(static_cast<std::size_t>(v) * n_range + d) *
+                           n_angle];
+      for (int a = 0; a < n_az; ++a)
+        cell[a] = std::log1p(std::abs(az_spec[n_az - 1 - a]));
+      for (int e = 0; e < n_el; ++e)
+        cell[n_az + e] = std::log1p(std::abs(el_spec[n_el - 1 - e]));
+    }
+  return cube;
+}
+
+TEST(RadarPipeline, CubeMatchesPerSignalReference) {
+  // A noisy scene: a moving hand (so the TDM phase matters) in front of
+  // a strong body return and furniture clutter outside the passband.
+  const ChirpConfig c;  // default thermal noise
+  const AntennaArray arr(c);
+  const IfSimulator sim(c, arr);
+  const Scene scene{
+      {Vec3{0.03, 0.28, 0.01}, Vec3{0.0, 0.9, 0.1}, 1.0},
+      {Vec3{-0.02, 0.31, -0.02}, Vec3{0.2, -0.6, 0.0}, 0.6},
+      {Vec3{0.05, 0.34, 0.03}, Vec3{-0.1, 1.5, 0.0}, 0.4},
+      {Vec3{0.00, 1.00, -0.20}, Vec3{0.0, 0.05, 0.0}, 8.0},   // body
+      {Vec3{0.40, 0.95, -0.30}, Vec3{}, 5.0},                 // furniture
+      {Vec3{-0.50, 1.10, 0.10}, Vec3{}, 4.0},
+  };
+  Rng rng(17);
+  const IfFrame frame = sim.simulate_frame(scene, 0.0, rng);
+
+  struct RestoreIsa {
+    Isa saved = simd::active_isa();
+    ~RestoreIsa() { simd::set_isa(saved); }
+  } restore;
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kNeon}) {
+    if (simd::kernels_for(isa) == nullptr) continue;
+    ASSERT_TRUE(simd::set_isa(isa));
+    for (const bool bandpass : {true, false})
+      for (const bool zoom : {true, false}) {
+        PipelineConfig pc;
+        pc.enable_bandpass = bandpass;
+        pc.enable_zoom_fft = zoom;
+        const auto ref = reference_cube(c, arr, pc, frame);
+        const auto got = RadarPipeline(c, arr, pc).process_frame(frame);
+        ASSERT_EQ(got.data().size(), ref.size());
+        const double max = *std::max_element(ref.begin(), ref.end());
+        double err = 0.0;
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          err = std::max(err, std::abs(got.data()[i] - ref[i]));
+        EXPECT_LE(err, 1e-6 * max)
+            << simd::isa_name(isa) << " bandpass=" << bandpass
+            << " zoom=" << zoom << " cube max " << max;
+      }
+  }
 }
 
 }  // namespace

@@ -501,12 +501,7 @@ PurityConfig default_purity_config() {
       "allocation is the observability tax, measured by the interposer");
   add("simd::kernels", "dispatch table; init-once, then a relaxed load");
   add("simd::active_isa", "init-once env resolution, then a relaxed load");
-  add("dsp::twiddle_table", "lock-free slot read; cold build path only");
   add("dsp::stage_twiddles", "lock-free slot read; cold build path only");
-  add("dsp::zoom_plan", "lock-free list walk; cold build path only");
-  add("dsp::czt_scratch", "grow-on-demand thread-local scratch");
-  add("dsp::biquad_scratch", "grow-on-demand thread-local scratch");
-  add("radar::stage_scratch", "grow-on-demand thread-local scratch");
   add("radar::frame_workspace", "grow-on-demand thread-local workspace");
   add("radar::RadarCube::reset", "grow-only storage reuse");
   add("nn::im2col_scratch", "grow-on-demand thread-local scratch");
