@@ -10,11 +10,17 @@ namespace mmhand::json {
 
 namespace {
 
+/// Deepest array/object nesting accepted.  The repo's own documents nest
+/// a handful of levels; the cap keeps a hostile input from exhausting
+/// the stack of this recursive parser.
+constexpr int kMaxDepth = 256;
+
 /// Recursive-descent parser over a borrowed buffer.
 struct Parser {
   const char* p;
   const char* end;
   std::string error;
+  int depth = 0;
 
   bool fail(const std::string& what, const char* at) {
     if (error.empty()) {
@@ -106,6 +112,12 @@ struct Parser {
     skip_ws();
     const char* at = p;
     if (p >= end) return fail("unexpected end of input", at);
+    if (depth >= kMaxDepth) return fail("nesting too deep", at);
+    struct Nest {
+      int& depth;
+      explicit Nest(int& d) : depth(++d) {}
+      ~Nest() { --depth; }
+    } nest(depth);
     switch (*p) {
       case '{': {
         ++p;

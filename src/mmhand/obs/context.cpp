@@ -11,6 +11,7 @@
 #include <string>
 
 #include "mmhand/common/parallel.hpp"
+#include "mmhand/obs/event.hpp"
 #include "mmhand/obs/flight.hpp"
 #include "mmhand/obs/runlog.hpp"
 #include "mmhand/obs/telemetry.hpp"
@@ -45,7 +46,7 @@ void worker_end(void* token) { delete static_cast<Span*>(token); }
 std::string frame_record_json(const detail::FrameContext& ctx,
                               double total_us, std::int64_t allocs) {
   RunRecord rec("frame");
-  rec.field("frame_id", ctx.frame_id)
+  rec.field("frame_id", static_cast<std::int64_t>(ctx.trace_id) - 1)
       .field("trace_id", static_cast<std::int64_t>(ctx.trace_id))
       .field("label", ctx.label)
       .field("total_us", total_us);
@@ -100,47 +101,52 @@ void context_install_hooks() {
 
 }  // namespace detail
 
-FrameScope::FrameScope(const char* label, std::int64_t frame_id) {
+FrameScope::FrameScope(const char* label) {
   const int m = detail::mask();
   if (m == 0) return;
   auto* ctx = new detail::FrameContext();
   ctx->trace_id = static_cast<std::uint64_t>(
       g_frame_seq.fetch_add(1, std::memory_order_relaxed) + 1);
-  ctx->frame_id = frame_id >= 0
-                      ? frame_id
-                      : static_cast<std::int64_t>(ctx->trace_id) - 1;
   ctx->label = label;
+  ctx->records = (m & (detail::kTelemetryBit | detail::kFlightBit)) != 0;
   ctx->origin_tid = detail::thread_id();
   ctx->t0_ns = detail::now_ns();
   ctx->allocs0 = alloc_tracking_enabled() ? alloc_counts().allocs : -1;
   prev_ = mmhand::task_context();
   mmhand::set_task_context(ctx);
   ctx_ = ctx;
-  if ((m & detail::kTraceBit) != 0)
-    detail::record_flow_source(label, ctx->trace_id, ctx->frame_id,
-                               ctx->t0_ns);
+  if ((m & detail::kTraceBit) != 0) {
+    detail::Event e = detail::make_event(detail::kEventFlowAnchor,
+                                         detail::kNoName, ctx->t0_ns);
+    e.trace_id = ctx->trace_id;
+    detail::push_event(detail::kTraceBit, e);
+  }
 }
 
 FrameScope::~FrameScope() {
   if (ctx_ == nullptr) return;
   mmhand::set_task_context(prev_);
-  const std::int64_t t1 = detail::now_ns();
+  // The record goes to whichever sinks read it.  No further spans can
+  // reach this context: safe to read unlocked.
+  const detail::FrameContext& ctx = *ctx_;
+  const int m = ctx.records ? detail::mask() : 0;
   const double total_us =
-      static_cast<double>(t1 - ctx_->t0_ns) / 1000.0;
-  g_records_emitted.fetch_add(1, std::memory_order_relaxed);
-  // Process-wide counter, so concurrent frames each absorb the other's
-  // allocations; the purity gate runs frames serially where the delta
-  // is exact.
-  const std::int64_t allocs =
-      ctx_->allocs0 >= 0 && alloc_tracking_enabled()
-          ? alloc_counts().allocs - ctx_->allocs0
-          : -1;
-  // No further spans can reach this context: safe to read unlocked.
-  detail::telemetry_emit_record(frame_record_json(*ctx_, total_us, allocs));
-  if ((detail::mask() & detail::kFlightBit) != 0) {
+      static_cast<double>(detail::now_ns() - ctx.t0_ns) / 1000.0;
+  if (ctx.records) g_records_emitted.fetch_add(1, std::memory_order_relaxed);
+  if ((m & detail::kTelemetryBit) != 0) {
+    // Process-wide counter, so concurrent frames each absorb the other's
+    // allocations; the purity gate runs frames serially where the delta
+    // is exact.
+    const std::int64_t allocs =
+        ctx.allocs0 >= 0 && alloc_tracking_enabled()
+            ? alloc_counts().allocs - ctx.allocs0
+            : -1;
+    detail::telemetry_emit_record(frame_record_json(ctx, total_us, allocs));
+  }
+  if ((m & detail::kFlightBit) != 0) {
     const char* worst = "";
     std::int64_t worst_ns = -1;
-    for (const auto& s : ctx_->stages)
+    for (const auto& s : ctx.stages)
       if (s.total_ns > worst_ns) {
         worst_ns = s.total_ns;
         worst = s.name;
@@ -151,7 +157,8 @@ FrameScope::~FrameScope() {
     if (const char* slash = std::strrchr(worst, '/')) worst = slash + 1;
     char line[128];
     std::snprintf(line, sizeof(line), "frame %" PRId64 " %.0fus worst=%s",
-                  ctx_->frame_id, total_us, worst);
+                  static_cast<std::int64_t>(ctx.trace_id) - 1, total_us,
+                  worst);
     detail::flight_note_log(line);
   }
   delete ctx_;

@@ -17,10 +17,11 @@
 // workers inherit the frame's identity.  While a context is live:
 //
 //   * every recorded span is tagged with the trace id (Chrome trace
-//     `args`), and the trace gains flow events (`ph:"s"` at the frame
-//     span, `ph:"f"` at each worker span) that visually link
-//     cross-thread children to their parent frame;
-//   * per-stage durations accumulate into the context, and the scope's
+//     `args`; `frame_id` is trace id − 1), and the trace gains flow
+//     events (`ph:"s"` at the frame span, `ph:"f"` at each worker span)
+//     that visually link cross-thread children to their parent frame;
+//   * while the telemetry sampler or the flight recorder reads them,
+//     per-stage durations accumulate into the context, and the scope's
 //     destructor emits one per-frame record — frame_id, trace id, label,
 //     total, and the per-stage latency vector — to the telemetry JSONL
 //     stream (kind "frame") and the flight-recorder ring.
@@ -45,8 +46,8 @@ namespace detail {
 /// frame, so contention is negligible next to the stages themselves.
 struct FrameContext {
   std::uint64_t trace_id = 0;
-  std::int64_t frame_id = 0;
   const char* label = nullptr;
+  bool records = false;  ///< telemetry or flight reads its record
   unsigned origin_tid = 0;
   std::int64_t t0_ns = 0;
   /// Allocation counter at frame start, -1 when tracking is off.
@@ -69,11 +70,11 @@ FrameContext* current_frame_context();
 
 }  // namespace detail
 
-/// RAII frame scope; see the file comment.  `frame_id` defaults to a
-/// process-wide monotonic sequence shared by all labels.
+/// RAII frame scope; see the file comment.  Frame ids are one
+/// process-wide sequence shared by all labels (trace id − 1).
 class FrameScope {
  public:
-  explicit FrameScope(const char* label, std::int64_t frame_id = -1);
+  explicit FrameScope(const char* label);
   ~FrameScope();
   FrameScope(const FrameScope&) = delete;
   FrameScope& operator=(const FrameScope&) = delete;
@@ -91,7 +92,7 @@ class FrameScope {
 std::uint64_t current_trace_id();
 
 /// Per-frame records emitted so far (frame scopes that completed while
-/// any observability was on).
+/// the telemetry sampler or the flight recorder read them).
 std::uint64_t frame_records_emitted();
 
 }  // namespace mmhand::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -20,104 +21,132 @@
 
 #include "mmhand/common/clock.hpp"
 #include "mmhand/common/realtime.hpp"
+#include "mmhand/obs/event.hpp"
 #include "mmhand/obs/log.hpp"
-#include "mmhand/obs/trace.hpp"
+#include "mmhand/obs/state.hpp"
 
 namespace mmhand::obs {
+
+// ---- the event ring (event.hpp): the trace rings run it too ---------
+
+namespace detail {
+
+namespace {
+
+using Word = std::atomic_ref<std::uint64_t>;
+
+std::uint64_t* slot_words(Ring ring, std::uint64_t seq) {
+  return ring.words + kRingHeaderWords + ((seq - 1) % ring.slots) * kEventWords;
+}
+
+}  // namespace
+
+Event make_event(std::uint8_t kind, std::uint32_t site, std::int64_t t_ns) {
+  Event e{};
+  e.t_ns = t_ns;
+  e.site = site;
+  e.kind = kind;
+  e.tid = static_cast<std::uint16_t>(thread_id() & 0xFFFF);
+  return e;
+}
+
+MMHAND_REALTIME
+void ring_push(Ring ring, const Event& e) {
+  const std::uint64_t seq =
+      Word(ring.words[0]).fetch_add(1, std::memory_order_relaxed) + 1;
+  std::uint64_t* slot = slot_words(ring, seq);
+  std::uint64_t w[kEventWords];
+  std::memcpy(w, &e, sizeof(w));
+  Word(slot[0]).store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::uint64_t i = 1; i < kEventWords; ++i)
+    Word(slot[i]).store(w[i], std::memory_order_relaxed);
+  Word(slot[0]).store(seq, std::memory_order_release);
+}
+
+void ring_clear(Ring ring) {
+  Word(ring.words[1]).store(
+      Word(ring.words[0]).load(std::memory_order_acquire),
+      std::memory_order_relaxed);
+}
+
+RingWindow ring_window(Ring ring) {
+  RingWindow w;
+  w.head = Word(ring.words[0]).load(std::memory_order_acquire);
+  const std::uint64_t floor =
+      Word(ring.words[1]).load(std::memory_order_relaxed);
+  const std::uint64_t oldest = w.head > ring.slots ? w.head - ring.slots : 0;
+  w.first = std::min(w.head, std::max(floor, oldest));
+  w.lost = w.first - std::min(floor, w.first);
+  return w;
+}
+
+bool ring_load(Ring ring, std::uint64_t seq, Event* out) {
+  std::uint64_t* slot = slot_words(ring, seq);
+  std::uint64_t w[kEventWords];
+  w[0] = Word(slot[0]).load(std::memory_order_acquire);
+  if (w[0] != seq) return false;
+  for (std::uint64_t i = 1; i < kEventWords; ++i)
+    w[i] = Word(slot[i]).load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (Word(slot[0]).load(std::memory_order_relaxed) != seq) return false;
+  std::memcpy(out, w, sizeof(w));
+  return true;
+}
+
+}  // namespace detail
 
 namespace {
 
 // ---- on-disk layout -------------------------------------------------
 //
-// | FileHeader (64 B) | name table (name_cap x 64 B) |
-// | per-ring: RingHeader (64 B) + slots x Record (64 B), max_threads x |
+// | header (64 B) | name table (name_cap x 64 B) |
+// | per-ring: ring header (64 B) + slots x Event (64 B), max_threads x |
 //
-// Every block is 64-byte sized and aligned so a record write touches
-// one cache line and mmap alignment is automatic.
+// Every block is 64-byte sized and aligned so an event write touches
+// one cache line and mmap alignment is automatic.  The rings are the
+// event.hpp rings; the name table mirrors the process name table.
 
 constexpr std::uint32_t kMagic = 0x52464D4D;  // "MMFR" little-endian
 constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kMaxThreads = 64;
-constexpr std::uint32_t kNameCap = 256;
 constexpr std::size_t kNameBytes = 64;
 constexpr std::size_t kHeaderBytes = 64;
-constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
-constexpr std::uint8_t kKindBegin = 1;
-constexpr std::uint8_t kKindEnd = 2;
-constexpr std::uint8_t kKindLog = 3;
 
+/// The leading fields of the 64-byte header block.  Readers memcpy it
+/// out of the mapping or file blob; the writer raises `names_used`
+/// through atomic_ref.
 struct FileHeader {
-  std::uint32_t magic;
-  std::uint32_t version;
-  std::uint32_t max_threads;
-  std::uint32_t slots_per_thread;
-  std::uint32_t name_capacity;
-  std::atomic<std::uint32_t> names_used;
+  std::uint32_t magic, version, max_threads, slots, name_cap, names_used;
   std::uint64_t start_unix_ms;
-  std::uint8_t reserved[32];
-};
-static_assert(sizeof(FileHeader) == kHeaderBytes);
-
-struct RingHeader {
-  std::atomic<std::uint64_t> head;  ///< total records ever written
-  std::uint8_t reserved[56];
-};
-static_assert(sizeof(RingHeader) == 64);
-
-struct Record {
-  std::atomic<std::uint64_t> seq;  ///< stored last (release); 0 = torn
-  std::int64_t t_ns;
-  std::uint32_t name_id;
-  std::uint8_t kind;
-  std::uint8_t reserved;
-  std::uint16_t tid;
-  char text[40];
-};
-static_assert(sizeof(Record) == 64);
-
-/// POD mirrors for readers (memcpy out of the mapping / file blob, so
-/// torn concurrent writes never alias an atomic object).
-struct HeaderView {
-  std::uint32_t magic = 0, version = 0, max_threads = 0, slots = 0,
-                name_cap = 0, names_used = 0;
-  std::uint64_t start_unix_ms = 0;
 };
 
-struct RecordView {
-  std::uint64_t seq = 0;
-  std::int64_t t_ns = 0;
-  std::uint32_t name_id = 0;
-  std::uint8_t kind = 0;
-  std::uint8_t reserved = 0;
-  std::uint16_t tid = 0;
-  char text[40] = {};
-};
-
-HeaderView read_header(const unsigned char* b) {
-  HeaderView v;
-  std::memcpy(&v.magic, b + 0, 4);
-  std::memcpy(&v.version, b + 4, 4);
-  std::memcpy(&v.max_threads, b + 8, 4);
-  std::memcpy(&v.slots, b + 12, 4);
-  std::memcpy(&v.name_cap, b + 16, 4);
-  std::memcpy(&v.names_used, b + 20, 4);
-  std::memcpy(&v.start_unix_ms, b + 24, 8);
-  return v;
+FileHeader read_header(const unsigned char* b) {
+  FileHeader h;
+  std::memcpy(&h, b, sizeof(h));
+  return h;
 }
-
-std::size_t names_offset() { return kHeaderBytes; }
 
 std::size_t rings_offset(std::uint32_t name_cap) {
   return kHeaderBytes + static_cast<std::size_t>(name_cap) * kNameBytes;
 }
 
-std::size_t ring_stride(std::uint32_t slots) {
-  return sizeof(RingHeader) + static_cast<std::size_t>(slots) * sizeof(Record);
-}
-
 std::size_t total_size(std::uint32_t max_threads, std::uint32_t slots,
                        std::uint32_t name_cap) {
-  return rings_offset(name_cap) + max_threads * ring_stride(slots);
+  return rings_offset(name_cap) + max_threads * detail::ring_bytes(slots);
+}
+
+detail::Ring file_ring(unsigned char* base, std::uint32_t name_cap,
+                       std::uint32_t slots, std::uint32_t r) {
+  return {reinterpret_cast<std::uint64_t*>(base + rings_offset(name_cap) +
+                                           r * detail::ring_bytes(slots)),
+          slots};
+}
+
+/// Name-table entry `id` of the image at `base`, as words (written and
+/// read through atomic_ref like the ring slots).
+std::uint64_t* name_words(unsigned char* base, std::uint32_t id) {
+  return reinterpret_cast<std::uint64_t*>(base + kHeaderBytes +
+                                          id * kNameBytes);
 }
 
 /// The active mapping.  Never freed: a racing writer may hold the
@@ -126,86 +155,33 @@ std::size_t total_size(std::uint32_t max_threads, std::uint32_t slots,
 /// retired ones stay reachable from `g_mapping` rather than lost.
 struct Mapping {
   unsigned char* base = nullptr;
-  std::uint32_t max_threads = 0;
   std::uint32_t slots = 0;
-  std::uint32_t name_cap = 0;
+  std::uint32_t name_base = 0;  ///< file entry of process name id 0
   char dump_path[1024] = {};
   const Mapping* prev = nullptr;
 };
 
 std::atomic<Mapping*> g_mapping{nullptr};
-std::atomic<std::uint64_t> g_generation{0};
-std::mutex g_mu;       // set_flight + name interning
+std::mutex g_mu;       // set_flight
 std::string g_path;    // guarded by g_mu
 
-RingHeader* ring_header(const Mapping* m, std::uint32_t ring) {
-  return reinterpret_cast<RingHeader*>(m->base + rings_offset(m->name_cap) +
-                                       ring * ring_stride(m->slots));
-}
-
-Record* record_slot(const Mapping* m, std::uint32_t ring, std::uint64_t i) {
-  return reinterpret_cast<Record*>(
-      m->base + rings_offset(m->name_cap) + ring * ring_stride(m->slots) +
-      sizeof(RingHeader) + static_cast<std::size_t>(i) * sizeof(Record));
-}
-
-char* name_slot(const Mapping* m, std::uint32_t id) {
-  return reinterpret_cast<char*>(m->base + names_offset() + id * kNameBytes);
-}
-
-MMHAND_REALTIME
-void write_record(std::uint8_t kind, std::uint32_t name_id, const char* text,
-                  std::int64_t t_ns) {
-  Mapping* m = g_mapping.load(std::memory_order_acquire);
-  if (m == nullptr) return;
-  const unsigned tid = detail::thread_id();
-  const std::uint32_t ring = tid % m->max_threads;
-  RingHeader* rh = ring_header(m, ring);
-  const std::uint64_t seq = rh->head.fetch_add(1, std::memory_order_relaxed) + 1;
-  Record* rec = record_slot(m, ring, (seq - 1) % m->slots);
-  rec->seq.store(0, std::memory_order_release);
-  rec->t_ns = t_ns;
-  rec->name_id = name_id;
-  rec->kind = kind;
-  rec->tid = static_cast<std::uint16_t>(tid & 0xFFFF);
-  if (text != nullptr)
-    std::snprintf(rec->text, sizeof(rec->text), "%s", text);
-  else
-    rec->text[0] = '\0';
-  rec->seq.store(seq, std::memory_order_release);
-}
-
-/// Registers `name` in the mapped name table (rare: once per call site
-/// per mapping); returns its id or kNoName when the table is full.
-std::uint32_t intern_name(Mapping* m, const char* name) {
-  FileHeader* h = reinterpret_cast<FileHeader*>(m->base);
-  const std::uint32_t used =
-      std::min(h->names_used.load(std::memory_order_acquire), m->name_cap);
-  for (std::uint32_t i = 0; i < used; ++i)
-    if (std::strncmp(name_slot(m, i), name, kNameBytes - 1) == 0) return i;
-  if (used >= m->name_cap) return kNoName;
-  std::snprintf(name_slot(m, used), kNameBytes, "%s", name);
-  h->names_used.store(used + 1, std::memory_order_release);
-  return used;
-}
-
-/// Cached name id of a span site; the token carries the mapping
-/// generation so remapping invalidates stale ids without touching the
-/// sites.  Steady-state cost: two relaxed/acquire loads, no lock.
-std::uint32_t site_name_id(SpanSite& site) {
-  const std::uint64_t gen = g_generation.load(std::memory_order_acquire);
-  if (gen == 0) return kNoName;
-  const std::uint64_t tok = site.flight_token().load(std::memory_order_relaxed);
-  if ((tok >> 32) == gen) return static_cast<std::uint32_t>(tok);
-  Mapping* m = g_mapping.load(std::memory_order_acquire);
-  if (m == nullptr) return kNoName;
-  std::uint32_t id;
-  {
-    std::lock_guard<std::mutex> lk(g_mu);
-    id = intern_name(m, site.name());
+/// Copies process name `id` into the mapping's table and raises its
+/// `names_used`.  Racing copies of the same entry store the same words.
+void publish_name(Mapping* m, std::uint32_t process_id, const char* name) {
+  const std::uint32_t id = m->name_base + process_id;
+  if (id >= detail::kNameCap) return;
+  std::uint64_t words[kNameBytes / 8] = {};
+  std::snprintf(reinterpret_cast<char*>(words), kNameBytes, "%s", name);
+  std::uint64_t* slot = name_words(m->base, id);
+  for (std::size_t i = 0; i < kNameBytes / 8; ++i)
+    detail::Word(slot[i]).store(words[i], std::memory_order_relaxed);
+  std::atomic_ref<std::uint32_t> names_used(*reinterpret_cast<std::uint32_t*>(
+      m->base + offsetof(FileHeader, names_used)));
+  std::uint32_t used = names_used.load(std::memory_order_relaxed);
+  while (used < id + 1 &&
+         !names_used.compare_exchange_weak(used, id + 1,
+                                           std::memory_order_release)) {
   }
-  site.flight_token().store((gen << 32) | id, std::memory_order_relaxed);
-  return id;
 }
 
 // ---- rendering ------------------------------------------------------
@@ -235,10 +211,9 @@ struct RenderSink {
 
 /// Renders the ring image at `base` (live mapping or file blob).  Only
 /// snprintf + sink.emit — safe from the crash handlers in fd mode.
-bool render_rings(const unsigned char* base, std::size_t size,
-                  RenderSink& sink) {
+bool render_rings(unsigned char* base, std::size_t size, RenderSink& sink) {
   if (size < kHeaderBytes) return false;
-  const HeaderView h = read_header(base);
+  const FileHeader h = read_header(base);
   if (h.magic != kMagic || h.version != kVersion) return false;
   if (h.max_threads == 0 || h.max_threads > 1024 || h.slots == 0 ||
       h.slots > (1u << 20) || h.name_cap == 0 || h.name_cap > 4096)
@@ -259,68 +234,57 @@ bool render_rings(const unsigned char* base, std::size_t size,
       std::snprintf(buf, cap, "?");
       return;
     }
-    const char* src = reinterpret_cast<const char*>(base + names_offset() +
-                                                    id * kNameBytes);
-    std::snprintf(buf, cap, "%.*s", static_cast<int>(kNameBytes - 1), src);
+    std::uint64_t words[kNameBytes / 8];
+    std::uint64_t* src = name_words(base, id);
+    for (std::size_t i = 0; i < kNameBytes / 8; ++i)
+      words[i] = detail::Word(src[i]).load(std::memory_order_relaxed);
+    std::snprintf(buf, cap, "%.*s", static_cast<int>(kNameBytes - 1),
+                  reinterpret_cast<const char*>(words));
   };
 
   constexpr int kMaxNest = 64;
   for (std::uint32_t r = 0; r < h.max_threads; ++r) {
-    const unsigned char* ring = base + rings_offset(h.name_cap) +
-                                r * ring_stride(h.slots);
-    std::uint64_t head = 0;
-    std::memcpy(&head, ring, 8);
-    if (head == 0) continue;
-    const std::uint64_t count = std::min<std::uint64_t>(head, h.slots);
+    const detail::Ring ring = file_ring(base, h.name_cap, h.slots, r);
+    const detail::RingWindow window = detail::ring_window(ring);
+    if (window.head == 0) continue;
     std::snprintf(line, sizeof(line),
                   "thread ring %u: %llu events total, last %llu:\n", r,
-                  static_cast<unsigned long long>(head),
-                  static_cast<unsigned long long>(count));
+                  static_cast<unsigned long long>(window.head),
+                  static_cast<unsigned long long>(window.head -
+                                                  window.first));
     sink.emit(line);
 
     std::uint32_t open_name[kMaxNest];
     std::int64_t open_t[kMaxNest];
     int depth = 0;
     char name[kNameBytes];
-    for (std::uint64_t seq = head - count + 1; seq <= head; ++seq) {
-      RecordView rec;
-      std::memcpy(&rec, ring + sizeof(RingHeader) +
-                            static_cast<std::size_t>((seq - 1) % h.slots) *
-                                sizeof(Record),
-                  sizeof(RecordView));
-      if (rec.seq != seq) {
+    detail::ring_read(ring, window, [&](const detail::Event* rec) {
+      if (rec == nullptr) {
         sink.emit("  (torn record)\n");
-        continue;
+        return;
       }
-      const double t_ms = static_cast<double>(rec.t_ns) / 1e6;
-      if (rec.kind == kKindBegin) {
-        name_of(rec.name_id, name, sizeof(name));
-        std::snprintf(line, sizeof(line),
-                      "  [%12.3f ms] tid %u begin %s\n", t_ms, rec.tid,
-                      name);
+      const double t_ms = static_cast<double>(rec->t_ns) / 1e6;
+      if (rec->kind == detail::kEventBegin ||
+          rec->kind == detail::kEventEnd) {
+        const bool begin = rec->kind == detail::kEventBegin;
+        name_of(rec->site, name, sizeof(name));
+        std::snprintf(line, sizeof(line), "  [%12.3f ms] tid %u %s %s\n",
+                      t_ms, rec->tid, begin ? "begin" : "end  ", name);
         sink.emit(line);
-        if (depth < kMaxNest) {
-          open_name[depth] = rec.name_id;
-          open_t[depth] = rec.t_ns;
+        if (begin && depth < kMaxNest) {
+          open_name[depth] = rec->site;
+          open_t[depth] = rec->t_ns;
         }
-        ++depth;
-      } else if (rec.kind == kKindEnd) {
-        name_of(rec.name_id, name, sizeof(name));
+        depth = begin ? depth + 1 : std::max(depth - 1, 0);
+      } else if (rec->kind == detail::kEventLog) {
         std::snprintf(line, sizeof(line),
-                      "  [%12.3f ms] tid %u end   %s\n", t_ms, rec.tid,
-                      name);
-        sink.emit(line);
-        if (depth > 0) --depth;
-      } else if (rec.kind == kKindLog) {
-        rec.text[sizeof(rec.text) - 1] = '\0';
-        std::snprintf(line, sizeof(line),
-                      "  [%12.3f ms] tid %u log   %s\n", t_ms, rec.tid,
-                      rec.text);
+                      "  [%12.3f ms] tid %u log   %.*s\n", t_ms, rec->tid,
+                      static_cast<int>(sizeof(rec->text) - 1), rec->text);
         sink.emit(line);
       } else {
         sink.emit("  (unknown record kind)\n");
       }
-    }
+    });
     // Whatever was begun but never ended inside the retained window was
     // open when recording stopped — the spans the process died inside.
     for (int d = std::min(depth, kMaxNest) - 1; d >= 0; --d) {
@@ -350,7 +314,8 @@ bool dump_to_file(const char* reason) {
                 reason);
   sink.emit(line);
   const bool ok =
-      render_rings(m->base, total_size(m->max_threads, m->slots, m->name_cap),
+      render_rings(m->base, total_size(detail::kMaxRings, m->slots,
+                                       detail::kNameCap),
                    sink);
   ::close(fd);
   return ok;
@@ -446,7 +411,8 @@ bool set_flight(const FlightConfig& config) {
 #else
   const std::uint32_t slots = static_cast<std::uint32_t>(
       std::clamp(config.slots_per_thread, 16, 1 << 16));
-  const std::size_t size = total_size(kMaxThreads, slots, kNameCap);
+  const std::size_t size =
+      total_size(detail::kMaxRings, slots, detail::kNameCap);
 
   std::lock_guard<std::mutex> lk(g_mu);
   const int fd =
@@ -455,10 +421,12 @@ bool set_flight(const FlightConfig& config) {
     MMHAND_WARN("flight: cannot open ring file %s", config.path.c_str());
     return false;
   }
-  // Reuse a compatible existing ring (events append across restarts);
-  // anything else — wrong geometry, stale version, foreign file — is
-  // re-initialized from scratch.
+  // Reuse a compatible existing ring (events append across restarts)
+  // whose name table has room for this process's names; anything else —
+  // wrong geometry, stale version, foreign file — is re-initialized
+  // from scratch.
   bool reuse = false;
+  std::uint32_t names_before = 0;
   struct stat st;
   std::memset(&st, 0, sizeof(st));
   if (::fstat(fd, &st) == 0 &&
@@ -466,10 +434,12 @@ bool set_flight(const FlightConfig& config) {
     unsigned char probe[kHeaderBytes];
     if (::pread(fd, probe, sizeof(probe), 0) ==
         static_cast<ssize_t>(sizeof(probe))) {
-      const HeaderView v = read_header(probe);
+      const FileHeader v = read_header(probe);
       reuse = v.magic == kMagic && v.version == kVersion &&
-              v.max_threads == kMaxThreads && v.slots == slots &&
-              v.name_cap == kNameCap;
+              v.max_threads == detail::kMaxRings && v.slots == slots &&
+              v.name_cap == detail::kNameCap &&
+              v.names_used <= detail::kNameCap / 2;
+      names_before = v.names_used;
     }
   }
   if (!reuse && (::ftruncate(fd, 0) != 0 ||
@@ -488,25 +458,24 @@ bool set_flight(const FlightConfig& config) {
 
   auto* m = new Mapping;
   m->base = static_cast<unsigned char*>(mem);
-  m->max_threads = kMaxThreads;
   m->slots = slots;
-  m->name_cap = kNameCap;
   std::snprintf(m->dump_path, sizeof(m->dump_path), "%s.dump.txt",
                 config.path.c_str());
+  m->prev = g_mapping.load(std::memory_order_relaxed);
   if (!reuse) {
-    FileHeader* h = reinterpret_cast<FileHeader*>(m->base);
-    h->magic = kMagic;
-    h->version = kVersion;
-    h->max_threads = kMaxThreads;
-    h->slots_per_thread = slots;
-    h->name_capacity = kNameCap;
-    h->names_used.store(0, std::memory_order_relaxed);
-    h->start_unix_ms = static_cast<std::uint64_t>(unix_time_ms());
+    const FileHeader h{kMagic, kVersion, detail::kMaxRings, slots,
+                       detail::kNameCap, 0,
+                       static_cast<std::uint64_t>(unix_time_ms())};
+    std::memcpy(m->base, &h, sizeof(h));
+  } else {
+    // Earlier events name entries [0, names_before): this process's ids
+    // land after them.
+    m->name_base = names_before;
   }
   g_path = config.path;
-  m->prev = g_mapping.load(std::memory_order_relaxed);
-  g_mapping.store(m, std::memory_order_release);
-  g_generation.fetch_add(1, std::memory_order_acq_rel);
+  g_mapping.store(m, std::memory_order_seq_cst);
+  for (std::uint32_t id = 0; id < detail::names_used(); ++id)
+    if (const char* name = detail::name_of(id)) publish_name(m, id, name);
   install_handlers_once();
   detail::set_mask_bit(detail::kFlightBit, true);
   return true;
@@ -530,17 +499,22 @@ std::string flight_path() {
 bool flight_dump(const char* reason) { return dump_to_file(reason); }
 
 std::string flight_render_file(const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     if (error != nullptr) *error = "flight: cannot read " + path;
     return "";
   }
-  std::vector<unsigned char> blob((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  // Word storage: the reader loads the image through atomic_ref.
+  const auto size = static_cast<std::size_t>(in.tellg());
+  std::vector<std::uint64_t> blob((size + 7) / 8);
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(blob.data()),
+          static_cast<std::streamsize>(size));
   std::string out;
   RenderSink sink;
   sink.out = &out;
-  if (!render_rings(blob.data(), blob.size(), sink)) {
+  if (!in || !render_rings(reinterpret_cast<unsigned char*>(blob.data()),
+                           size, sink)) {
     if (error != nullptr)
       *error = "flight: " + path + " is not a valid flight ring";
     return "";
@@ -550,15 +524,48 @@ std::string flight_render_file(const std::string& path, std::string* error) {
 
 namespace detail {
 
+namespace {
+std::atomic<const char*> g_names[kNameCap];
+std::atomic<std::uint32_t> g_names_used{0};
+}  // namespace
+
+std::uint32_t intern_name(const char* name) {
+  std::uint32_t id = g_names_used.load(std::memory_order_relaxed);
+  do {
+    if (id >= kNameCap) return kNoName;
+  } while (!g_names_used.compare_exchange_weak(id, id + 1,
+                                               std::memory_order_relaxed));
+  g_names[id].store(name, std::memory_order_seq_cst);
+  if (Mapping* m = g_mapping.load(std::memory_order_seq_cst))
+    publish_name(m, id, name);
+  return id;
+}
+
+const char* name_of(std::uint32_t id) {
+  return id < kNameCap ? g_names[id].load(std::memory_order_seq_cst)
+                       : nullptr;
+}
+
+std::uint32_t names_used() {
+  return std::min(g_names_used.load(std::memory_order_acquire), kNameCap);
+}
+
 MMHAND_REALTIME
-void flight_span_event(SpanSite& site, bool begin, std::int64_t t_ns) {
-  write_record(begin ? kKindBegin : kKindEnd, site_name_id(site), nullptr,
-               t_ns);
+void flight_push(const Event& e) {
+  Mapping* m = g_mapping.load(std::memory_order_acquire);
+  if (m == nullptr) return;
+  Event rec = e;
+  if (rec.site != kNoName)
+    rec.site = rec.site + m->name_base < kNameCap ? rec.site + m->name_base
+                                                  : kNoName;
+  ring_push(file_ring(m->base, kNameCap, m->slots, rec.tid % kMaxRings), rec);
 }
 
 MMHAND_REALTIME
 void flight_note_log(const char* line) {
-  write_record(kKindLog, kNoName, line, now_ns());
+  Event e = make_event(kEventLog, kNoName, now_ns());
+  std::snprintf(e.text, sizeof(e.text), "%s", line);
+  flight_push(e);
 }
 
 void flight_on_mask_init() {

@@ -6,9 +6,11 @@
 // SIGKILL under the fault harness — leaves a reconstructable record of
 // the process's final moments.
 //
-// The ring lives in an mmap(MAP_SHARED) file: every event lands in the
-// page cache immediately, which the kernel flushes regardless of how
-// the process dies.  Catchable terminations additionally append a
+// The rings hold event.hpp's 64-byte `Event` records — the same records
+// and ring code as the trace — in an mmap(MAP_SHARED) file: every event
+// lands in the page cache immediately, which the kernel flushes
+// regardless of how the process dies.  The file's name table mirrors
+// the process name table.  Catchable terminations additionally append a
 // human-readable dump to `<ring>.dump.txt` from a signal/terminate
 // handler; for SIGKILL the binary ring itself is the artifact, rendered
 // after the fact by `mmhand_top --flight` or `flight_render_file`.

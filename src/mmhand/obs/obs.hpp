@@ -1,13 +1,15 @@
 #pragma once
 
 // Umbrella header for the observability layer: scoped trace spans
-// (trace.hpp), the metrics registry (metrics.hpp), leveled logging
+// (trace.hpp) and the crash flight recorder (flight.hpp), both stored
+// as one per-thread ring of 64-byte event records (event.hpp), the
+// metrics registry (metrics.hpp), leveled logging
 // (log.hpp), JSONL run records (runlog.hpp), the numerical-health
 // watchdog (numeric.hpp), the continuous-telemetry sampler
-// (telemetry.hpp) with its latency budgets (budget.hpp), the crash
-// flight recorder (flight.hpp), per-frame causal tracing (context.hpp),
-// and hardware perf-counter spans (pmu.hpp).  Everything is controlled
-// by environment variables resolved lazily on first use —
+// (telemetry.hpp) with its latency budgets (budget.hpp), per-frame
+// causal tracing (context.hpp), and hardware perf-counter spans
+// (pmu.hpp).  Everything is controlled by environment variables
+// resolved lazily on first use —
 //
 //   MMHAND_TRACE=<path>         capture spans, write Chrome trace JSON at exit
 //   MMHAND_METRICS=<path>       record metrics, write a JSON snapshot at exit

@@ -47,35 +47,27 @@ int init_mask() {
   std::call_once(once, [] {
     (void)now_ns();  // pin the time base before any span can run
     int m = 0;
-    if (const char* t = std::getenv("MMHAND_TRACE"); t != nullptr && *t) {
-      m |= kTraceBit;
-      std::lock_guard<std::mutex> lk(g_path_mu);
-      g_trace_path = t;
-    }
-    if (const char* p = std::getenv("MMHAND_METRICS"); p != nullptr && *p) {
-      m |= kMetricsBit;
-      std::lock_guard<std::mutex> lk(g_path_mu);
-      g_metrics_path = p;
-    }
-    if (const char* r = std::getenv("MMHAND_RUN_LOG"); r != nullptr && *r) {
-      m |= kRunLogBit;
-      std::lock_guard<std::mutex> lk(g_path_mu);
-      g_run_log_path = r;
-    }
-    // Telemetry implies metrics: the sampler snapshots the registry, so
-    // the span histograms it windows must actually be recording.
-    if (const char* s = std::getenv("MMHAND_TELEMETRY");
-        s != nullptr && *s) {
-      m |= kTelemetryBit | kMetricsBit;
-      std::lock_guard<std::mutex> lk(g_path_mu);
-      g_telemetry_spec = s;
-    }
-    if (const char* fl = std::getenv("MMHAND_FLIGHT");
-        fl != nullptr && *fl) {
-      m |= kFlightBit;
-      std::lock_guard<std::mutex> lk(g_path_mu);
-      g_flight_spec = fl;
-    }
+    // Each sink's variable sets its mask bits and keeps its text: an
+    // output path, or a spec the sink parses.  Telemetry implies
+    // metrics: the sampler snapshots the registry, so the span
+    // histograms it windows must actually be recording.
+    const struct {
+      const char* var;
+      int bits;
+      std::string* text;
+    } sinks[] = {
+        {"MMHAND_TRACE", kTraceBit, &g_trace_path},
+        {"MMHAND_METRICS", kMetricsBit, &g_metrics_path},
+        {"MMHAND_RUN_LOG", kRunLogBit, &g_run_log_path},
+        {"MMHAND_TELEMETRY", kTelemetryBit | kMetricsBit, &g_telemetry_spec},
+        {"MMHAND_FLIGHT", kFlightBit, &g_flight_spec},
+    };
+    for (const auto& sink : sinks)
+      if (const char* v = std::getenv(sink.var); v != nullptr && *v) {
+        m |= sink.bits;
+        std::lock_guard<std::mutex> lk(g_path_mu);
+        *sink.text = v;
+      }
     // Allocation counting is orthogonal to the mask bits: it gates the
     // operator-new interposer in alloc.cpp, not an observability sink.
     if (const char* a = std::getenv("MMHAND_ALLOC_TRACK");
@@ -93,7 +85,6 @@ int init_mask() {
     if (m != 0) {
       // Touch the sinks so their static state outlives this atexit hook
       // (handlers run LIFO: registered later -> runs earlier).
-      touch_trace_registry();
       touch_metrics_registry();
       std::atexit(at_exit_dump);
     }
@@ -134,52 +125,34 @@ unsigned thread_id() {
   return id;
 }
 
-std::string trace_path() {
-  (void)mask();  // make sure the environment was consulted
+namespace {
+
+/// Path accessors resolve the environment first, then read or write
+/// under `g_path_mu`.
+std::string read_path(const std::string& value) {
+  (void)mask();
   std::lock_guard<std::mutex> lk(g_path_mu);
-  return g_trace_path;
+  return value;
 }
 
+void write_path(std::string& slot, const std::string& value) {
+  (void)mask();
+  std::lock_guard<std::mutex> lk(g_path_mu);
+  slot = value;
+}
+
+}  // namespace
+
+std::string trace_path() { return read_path(g_trace_path); }
 void set_trace_path(const std::string& path) {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  g_trace_path = path;
+  write_path(g_trace_path, path);
 }
-
-std::string metrics_path() {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  return g_metrics_path;
-}
-
-void set_metrics_path(const std::string& path) {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  g_metrics_path = path;
-}
-
-std::string run_log_path_raw() {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  return g_run_log_path;
-}
-
+std::string metrics_path() { return read_path(g_metrics_path); }
+std::string run_log_path_raw() { return read_path(g_run_log_path); }
 void set_run_log_path_raw(const std::string& path) {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  g_run_log_path = path;
+  write_path(g_run_log_path, path);
 }
-
-std::string telemetry_spec_raw() {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  return g_telemetry_spec;
-}
-
-std::string flight_spec_raw() {
-  (void)mask();
-  std::lock_guard<std::mutex> lk(g_path_mu);
-  return g_flight_spec;
-}
+std::string telemetry_spec_raw() { return read_path(g_telemetry_spec); }
+std::string flight_spec_raw() { return read_path(g_flight_spec); }
 
 }  // namespace mmhand::obs::detail

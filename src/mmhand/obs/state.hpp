@@ -3,7 +3,7 @@
 // Internal shared state of the observability layer — not part of the
 // public API.  Holds the lazily-initialized enable mask (one relaxed
 // atomic gates every disabled-path check), the process time base, and
-// the per-thread shard index used by metrics and trace buffers.
+// the per-thread shard index used by metrics and the event rings.
 
 #include <atomic>
 #include <cstdint>
@@ -52,7 +52,6 @@ inline unsigned shard_id() { return thread_id() % kShards; }
 std::string trace_path();
 void set_trace_path(const std::string& path);
 std::string metrics_path();
-void set_metrics_path(const std::string& path);
 std::string run_log_path_raw();
 void set_run_log_path_raw(const std::string& path);
 

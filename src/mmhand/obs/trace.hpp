@@ -12,10 +12,12 @@
 // tracing and metrics are off, constructing a Span costs one relaxed
 // atomic load and a branch — no clock read, no allocation, no
 // formatting — so instrumentation can stay in release hot paths.  When
-// tracing is on the span is appended to a per-thread buffer; when
-// metrics are on its duration (microseconds) feeds the histogram of the
-// same name.  Spans never touch the data they time, so numeric outputs
-// are bitwise identical with observability on or off.
+// tracing is on the span pushes a begin and an end `Event` into the
+// thread's trace ring (event.hpp; the flight recorder's rings hold the
+// same records); when metrics are on its duration (microseconds) feeds
+// the histogram of the same name.  Spans never touch the data they
+// time, so numeric outputs are bitwise identical with observability on
+// or off.
 //
 // Tracing resolves lazily on first use from `MMHAND_TRACE=<path>` (the
 // file is written by an atexit hook and by explicit `write_trace()`
@@ -47,18 +49,20 @@ void set_tracing_enabled(bool on);
 void set_trace_path(const std::string& path);
 
 /// Writes all spans captured so far to the configured path (or `path`).
-/// May be called repeatedly; the file is rewritten in full each time.
+/// May be called repeatedly, also while other threads record; the file
+/// is rewritten in full each time.  A thread's ring keeps its newest
+/// 2^20 spans; older ones are overwritten, with a warning here.
 /// Returns false (with a warning log) when no path is set or I/O fails.
 bool write_trace();
 bool write_trace(const std::string& path);
 
-/// Discards captured spans (buffers stay registered).
+/// Discards captured spans (the rings stay reserved).  A span open
+/// across the clear is dropped from later traces.
 void clear_trace();
 
 /// Per-call-site identity of a span: the name (a string literal — it is
-/// stored by pointer) plus lazily resolved sink handles (metrics
-/// histogram; flight-recorder name id, generation-tagged so remapping
-/// the ring file invalidates stale ids).
+/// stored by pointer), its process-wide name-table id (drawn on first
+/// use; see event.hpp), and lazily resolved sink handles.
 class SpanSite {
  public:
   /// `flow_target` marks sites whose trace events carry a Chrome-trace
@@ -68,33 +72,28 @@ class SpanSite {
       : name_(name), flow_target_(flow_target) {}
   const char* name() const { return name_; }
   bool flow_target() const { return flow_target_; }
+  /// Name-table id; kNoName once the table is full.
+  std::uint32_t id();
   Histogram& hist();
-  std::atomic<std::uint64_t>& flight_token() { return flight_token_; }
   /// Lazily resolved per-site PMU counter handles (owned by pmu.cpp).
   std::atomic<void*>& pmu_cache() { return pmu_cache_; }
 
  private:
   const char* name_;
   bool flow_target_;
+  std::atomic<std::uint32_t> id_{0};  ///< id + 1; 0 = not yet drawn
   std::atomic<Histogram*> hist_{nullptr};
-  std::atomic<std::uint64_t> flight_token_{0};
   std::atomic<void*> pmu_cache_{nullptr};
 };
 
 namespace detail {
+/// Pushes the span's begin event into the trace and/or flight ring.
+void span_begin(SpanSite& site, std::int64_t t_ns, int mask);
 void record_span(SpanSite& site, std::int64_t t0_ns, std::int64_t t1_ns,
                  int mask, const PmuReading& pmu_begin);
-/// Flight-recorder span event (implemented in flight.cpp); `begin`
-/// distinguishes scope entry from exit.
-void flight_span_event(SpanSite& site, bool begin, std::int64_t t_ns);
-/// Flow-source marker for a frame context (context.cpp -> trace buffer):
-/// the `ph:"s"` anchor every cross-thread child's `ph:"f"` binds to.
-void record_flow_source(const char* label, std::uint64_t trace_id,
-                        std::int64_t frame_id, std::int64_t t_ns);
 /// Reads the thread's PMU group again and adds the deltas from
 /// `pmu_begin` to the site's `pmu/<stage>.*` counters (pmu.cpp).
 void pmu_accumulate(SpanSite& site, const PmuReading& pmu_begin);
-void touch_trace_registry();
 }  // namespace detail
 
 /// RAII span; see the file comment for the cost model.
@@ -107,8 +106,8 @@ class Span {
     mask_ = m;
     if ((m & detail::kPmuBit) != 0) pmu_ = detail::pmu_read();
     t0_ns_ = detail::now_ns();
-    if ((m & detail::kFlightBit) != 0)
-      detail::flight_span_event(site, true, t0_ns_);
+    if ((m & (detail::kTraceBit | detail::kFlightBit)) != 0)
+      detail::span_begin(site, t0_ns_, m);
   }
   ~Span() {
     if (site_ != nullptr)

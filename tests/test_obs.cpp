@@ -8,10 +8,13 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mmhand/common/json.hpp"
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/common/rng.hpp"
 #include "mmhand/nn/conv2d.hpp"
@@ -432,6 +435,104 @@ TEST(ObsMetrics, ResetZeroesButKeepsHandles) {
   EXPECT_EQ(c.value(), 0);
   c.add(2);
   EXPECT_EQ(c.value(), 2);
+}
+
+// ---------------------------------------------------------------------
+// One event store: the trace and the flight recorder render the same
+// per-thread event records.
+
+/// Closed-span counts by name from a written trace's `X` rows.
+std::map<std::string, int> trace_span_counts(const std::string& text) {
+  std::string error;
+  const json::Value doc = json::Value::parse(text, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  std::map<std::string, int> counts;
+  if (const json::Value* events = doc.find("traceEvents"))
+    for (const json::Value& e : events->as_array())
+      if (e.string_or("ph", "") == "X") ++counts[e.string_or("name", "")];
+  return counts;
+}
+
+/// Closed-span counts by name from a flight render's begin/end lines,
+/// paired per tid.
+std::map<std::string, int> flight_span_counts(const std::string& rendered) {
+  std::map<std::string, int> counts;
+  std::map<unsigned, std::vector<std::string>> open;
+  std::istringstream lines(rendered);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t at = line.find("] tid ");
+    if (at == std::string::npos) continue;
+    std::istringstream row(line.substr(at + 6));
+    unsigned tid = 0;
+    std::string what, name;
+    row >> tid >> what >> name;
+    if (what == "begin") {
+      open[tid].push_back(name);
+    } else if (what == "end" && !open[tid].empty()) {
+      EXPECT_EQ(open[tid].back(), name);
+      open[tid].pop_back();
+      ++counts[name];
+    }
+  }
+  return counts;
+}
+
+TEST(ObsEvents, TraceAndFlightRenderTheSameSpans) {
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string ring = (tmp / "mmhand_test_events.ring").string();
+  const std::string trace = (tmp / "mmhand_test_events.json").string();
+  std::filesystem::remove(ring);
+  obs::FlightConfig fc;
+  fc.path = ring;
+  fc.slots_per_thread = 4096;
+  obs::clear_trace();
+  ASSERT_TRUE(obs::set_flight(fc));
+  obs::set_tracing_enabled(true);
+  with_threads(1, run_process_frame);
+  obs::set_tracing_enabled(false);
+  obs::stop_flight();
+  ASSERT_TRUE(obs::write_trace(trace));
+
+  std::string error;
+  const std::string rendered = obs::flight_render_file(ring, &error);
+  ASSERT_FALSE(rendered.empty()) << error;
+  const std::map<std::string, int> traced = trace_span_counts(slurp(trace));
+  EXPECT_EQ(traced.count("radar/process_frame"), 1u);
+  EXPECT_EQ(traced, flight_span_counts(rendered));
+  obs::clear_trace();
+  std::filesystem::remove(ring);
+  std::filesystem::remove(trace);
+}
+
+TEST(ObsTrace, WriteWhileRecordingParses) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mmhand_test_trace3.json")
+          .string();
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  std::atomic<int> running{4};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < 4000; ++i) {
+        MMHAND_SPAN("test/concurrent.outer");
+        { MMHAND_SPAN("test/concurrent.inner"); }
+        std::this_thread::yield();
+      }
+      running.fetch_sub(1);
+    });
+  // Plain EXPECTs: the recording threads must be joined either way.
+  for (int writes = 0; running.load() > 0 || writes < 3; ++writes) {
+    EXPECT_TRUE(obs::write_trace(path));
+    std::string error;
+    json::Value::parse(slurp(path), &error);
+    EXPECT_TRUE(error.empty()) << "write " << writes << ": " << error;
+  }
+  for (std::thread& t : threads) t.join();
+  obs::set_tracing_enabled(false);
+  obs::clear_trace();
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -506,8 +506,6 @@ PurityConfig default_purity_config() {
   add("radar::RadarCube::reset", "grow-only storage reuse");
   add("nn::im2col_scratch", "grow-on-demand thread-local scratch");
   add("nn::pack_scratch", "grow-on-demand thread-local scratch");
-  add("obs::site_name_id",
-      "cold name-interning path; steady state is two atomic loads");
   return cfg;
 }
 

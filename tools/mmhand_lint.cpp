@@ -30,6 +30,7 @@
 
 #include "lint/lint_core.hpp"
 #include "lint/purity_core.hpp"
+#include "top/top_core.hpp"
 
 namespace fs = std::filesystem;
 using mmhand::lint::Config;
@@ -37,15 +38,9 @@ using mmhand::lint::Finding;
 
 namespace {
 
+/// Every input goes through the tools' one reader (top_core).
 bool slurp(const fs::path& path, std::string* out) {
-  std::FILE* f = std::fopen(path.string().c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  std::fclose(f);
-  return true;
+  return mmhand::top::load_text(path.string(), out, nullptr);
 }
 
 bool lintable(const fs::path& path) {

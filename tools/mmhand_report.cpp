@@ -22,6 +22,10 @@
 //              analysis" section (rule counts or a zero-findings badge)
 //   -o         output path (default: stdout)
 //
+// Every input loads through tools/top/top_core's reader: a JSONL
+// input's torn final line (a killed writer) is skipped, interior
+// unparseable lines draw a warning.
+//
 // Sections: run manifest, loss curve (per-epoch loss / lr / grad norm /
 // throughput), evaluations, numerical anomalies, stage latency breakdown
 // (from metrics histograms), bench results, bench trend, and static
@@ -39,37 +43,12 @@
 #include <vector>
 
 #include "mmhand/common/json.hpp"
+#include "top/top_core.hpp"
 
 namespace {
 
 using mmhand::json::Value;
-
-std::string slurp(const std::string& path, bool* ok) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *ok = false;
-    return {};
-  }
-  std::string out;
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  *ok = true;
-  return out;
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    if (nl > pos) lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
+using mmhand::top::load_json;
 
 std::string fmt(double v, int prec = 3) {
   char buf[64];
@@ -584,70 +563,53 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ostringstream os;
-  os << "# mmHand run report\n\n";
-  int inputs = 0;
-
-  if (!runlog_path.empty()) {
-    bool ok = false;
-    const std::string text = slurp(runlog_path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "cannot read run log %s\n", runlog_path.c_str());
-      return 1;
-    }
-    std::vector<Value> records;
-    int bad = 0;
-    for (const std::string& line : split_lines(text)) {
-      std::string err;
-      Value v = Value::parse(line, &err);
-      if (err.empty() && v.is_object())
-        records.push_back(std::move(v));
-      else
-        ++bad;
-    }
-    if (bad > 0)
-      std::fprintf(stderr, "warning: %d unparseable line(s) in %s\n", bad,
-                   runlog_path.c_str());
-    report_runlog(records, os);
-    ++inputs;
-  }
-
-  if (!metrics_path.empty()) {
-    bool ok = false;
-    const std::string text = slurp(metrics_path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "cannot read metrics %s\n", metrics_path.c_str());
-      return 1;
-    }
-    std::string err;
-    const Value snapshot = Value::parse(text, &err);
-    if (!err.empty()) {
-      std::fprintf(stderr, "metrics %s: %s\n", metrics_path.c_str(),
-                   err.c_str());
-      return 1;
-    }
-    report_metrics(snapshot, os);
-    if (roofline) report_roofline(snapshot, os);
-    ++inputs;
-  }
   if (roofline && metrics_path.empty()) {
     std::fprintf(stderr, "--roofline needs --metrics FILE\n");
     return 2;
   }
+  if (!probe_path.empty() && purity_path.empty()) {
+    std::fprintf(stderr, "--probe needs --purity FILE\n");
+    return 2;
+  }
+
+  std::ostringstream os;
+  os << "# mmHand run report\n\n";
+  int inputs = 0;
+  // Every input loads through top_core's one reader.  A JSONL input's
+  // torn final line (a killed writer) is skipped; unparseable interior
+  // lines are counted in a warning.
+  std::string error;
+  const auto fail = [&] {
+    std::fprintf(stderr, "mmhand_report: %s\n", error.c_str());
+    return 1;
+  };
+  const auto load_jsonl = [&](const std::string& path,
+                              mmhand::top::ParsedStream* stream) {
+    if (!mmhand::top::load_jsonl(path, stream, &error)) return false;
+    if (stream->bad_lines > 0)
+      std::fprintf(stderr, "warning: %zu unparseable line(s) in %s\n",
+                   stream->bad_lines, path.c_str());
+    return true;
+  };
+
+  if (!runlog_path.empty()) {
+    mmhand::top::ParsedStream runlog;
+    if (!load_jsonl(runlog_path, &runlog)) return fail();
+    report_runlog(runlog.records, os);
+    ++inputs;
+  }
+
+  if (!metrics_path.empty()) {
+    Value snapshot;
+    if (!load_json(metrics_path, &snapshot, &error)) return fail();
+    report_metrics(snapshot, os);
+    if (roofline) report_roofline(snapshot, os);
+    ++inputs;
+  }
 
   for (const std::string& path : bench_paths) {
-    bool ok = false;
-    const std::string text = slurp(path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "cannot read bench %s\n", path.c_str());
-      return 1;
-    }
-    std::string err;
-    const Value bench = Value::parse(text, &err);
-    if (!err.empty()) {
-      std::fprintf(stderr, "bench %s: %s\n", path.c_str(), err.c_str());
-      return 1;
-    }
+    Value bench;
+    if (!load_json(path, &bench, &error)) return fail();
     report_bench(path, bench, os);
     ++inputs;
   }
@@ -655,104 +617,35 @@ int main(int argc, char** argv) {
   if (!serve_paths.empty()) {
     std::vector<std::pair<std::string, Value>> runs;
     for (const std::string& path : serve_paths) {
-      bool ok = false;
-      const std::string text = slurp(path, &ok);
-      if (!ok) {
-        std::fprintf(stderr, "cannot read serve report %s\n", path.c_str());
-        return 1;
-      }
-      std::string err;
-      Value v = Value::parse(text, &err);
-      if (!err.empty()) {
-        std::fprintf(stderr, "serve %s: %s\n", path.c_str(), err.c_str());
-        return 1;
-      }
-      runs.emplace_back(path, std::move(v));
+      Value run;
+      if (!load_json(path, &run, &error)) return fail();
+      runs.emplace_back(path, std::move(run));
     }
     report_serve(runs, os);
     ++inputs;
   }
 
   if (!history_path.empty()) {
-    bool ok = false;
-    const std::string text = slurp(history_path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "cannot read history %s\n",
-                   history_path.c_str());
-      return 1;
-    }
-    std::vector<Value> records;
-    int bad = 0;
-    for (const std::string& line : split_lines(text)) {
-      std::string err;
-      Value v = Value::parse(line, &err);
-      if (err.empty() && v.is_object())
-        records.push_back(std::move(v));
-      else
-        ++bad;
-    }
-    if (bad > 0)
-      std::fprintf(stderr, "warning: %d unparseable line(s) in %s\n", bad,
-                   history_path.c_str());
-    report_history(records, os);
+    mmhand::top::ParsedStream history;
+    if (!load_jsonl(history_path, &history)) return fail();
+    report_history(history.records, os);
     ++inputs;
   }
 
   if (!lint_path.empty()) {
-    bool ok = false;
-    const std::string text = slurp(lint_path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "cannot read lint report %s\n",
-                   lint_path.c_str());
-      return 1;
-    }
-    std::string err;
-    const Value lint = Value::parse(text, &err);
-    if (!err.empty()) {
-      std::fprintf(stderr, "lint %s: %s\n", lint_path.c_str(), err.c_str());
-      return 1;
-    }
+    Value lint;
+    if (!load_json(lint_path, &lint, &error)) return fail();
     report_lint(lint, os);
     ++inputs;
   }
 
   if (!purity_path.empty()) {
-    bool ok = false;
-    const std::string text = slurp(purity_path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "cannot read purity report %s\n",
-                   purity_path.c_str());
-      return 1;
-    }
-    std::string err;
-    const Value purity = Value::parse(text, &err);
-    if (!err.empty()) {
-      std::fprintf(stderr, "purity %s: %s\n", purity_path.c_str(),
-                   err.c_str());
-      return 1;
-    }
-    Value probe;
-    bool have_probe = false;
-    if (!probe_path.empty()) {
-      const std::string probe_text = slurp(probe_path, &ok);
-      if (!ok) {
-        std::fprintf(stderr, "cannot read probe report %s\n",
-                     probe_path.c_str());
-        return 1;
-      }
-      probe = Value::parse(probe_text, &err);
-      if (!err.empty()) {
-        std::fprintf(stderr, "probe %s: %s\n", probe_path.c_str(),
-                     err.c_str());
-        return 1;
-      }
-      have_probe = true;
-    }
-    report_purity(purity, have_probe ? &probe : nullptr, os);
+    Value purity, probe;
+    if (!load_json(purity_path, &purity, &error) ||
+        (!probe_path.empty() && !load_json(probe_path, &probe, &error)))
+      return fail();
+    report_purity(purity, probe_path.empty() ? nullptr : &probe, os);
     ++inputs;
-  } else if (!probe_path.empty()) {
-    std::fprintf(stderr, "--probe needs --purity FILE\n");
-    return 2;
   }
 
   if (inputs == 0) {

@@ -34,17 +34,6 @@
 
 namespace {
 
-bool slurp(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
 int usage(bool error) {
   std::fprintf(error ? stderr : stdout,
                "usage: mmhand_top TELEMETRY.jsonl [--last N] [--follow] "
@@ -56,17 +45,17 @@ int usage(bool error) {
 /// "not yet" under --follow (the writer may not have started).
 int render_once(const std::string& path, std::size_t last, bool tail,
                 bool serve, bool follow, bool clear_screen) {
-  std::string text;
-  if (!slurp(path, &text)) {
+  mmhand::top::ParsedStream stream;
+  std::string error;
+  if (!mmhand::top::load_jsonl(path, &stream, &error)) {
     if (!follow) {
-      std::fprintf(stderr, "mmhand_top: cannot read %s\n", path.c_str());
+      std::fprintf(stderr, "mmhand_top: %s\n", error.c_str());
       return 1;
     }
     if (clear_screen) std::printf("\x1b[2J\x1b[H");
     std::printf("%s: waiting for stream...\n", path.c_str());
     return 0;
   }
-  const mmhand::top::ParsedStream stream = mmhand::top::parse_jsonl(text);
   const std::string body =
       serve ? mmhand::top::render_serve(stream, path, last)
       : tail ? mmhand::top::render_tail(stream, path)

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <map>
+#include <sstream>
 #include <utility>
 
 namespace mmhand::top {
@@ -50,10 +53,85 @@ double percentile(const std::vector<double>& sorted, double q) {
 
 struct StageWindow {
   std::vector<double> p95_series;  ///< one point per interval (0 = idle)
-  double count = 0.0, mean_us = 0.0, p50_us = 0.0, p95_us = 0.0,
-         p99_us = 0.0, max_us = 0.0;  ///< newest active interval
-  double total_count = 0.0;           ///< events across the window
+  const Value* newest = nullptr;   ///< stats of the newest active interval
+  double total_count = 0.0;        ///< events across the window
 };
+
+/// The newest `last` telemetry intervals folded into per-stage windows
+/// and counter (total, delta sum) pairs, keeping names `keep` accepts.
+struct IntervalFold {
+  std::size_t begin = 0, total = 0;  ///< window = intervals [begin, total)
+  std::vector<const Value*> window;
+  double window_ms = 0.0;
+  std::map<std::string, StageWindow> stages;
+  std::map<std::string, std::pair<double, double>> counters;
+};
+
+IntervalFold fold_intervals(
+    const ParsedStream& stream, std::size_t last,
+    const std::function<bool(const std::string&)>& keep) {
+  IntervalFold f;
+  std::vector<const Value*> records;
+  for (const Value& v : stream.records)
+    if (v.string_or("kind", "") == "telemetry") records.push_back(&v);
+  f.total = records.size();
+  f.begin = records.size() > last ? records.size() - last : 0;
+  f.window.assign(records.begin() + static_cast<std::ptrdiff_t>(f.begin),
+                  records.end());
+  for (std::size_t i = 0; i < f.window.size(); ++i) {
+    const Value& r = *f.window[i];
+    f.window_ms += r.number_or("dt_ms", 0.0);
+    if (const Value* st = r.find("stages"); st != nullptr && st->is_object())
+      for (const auto& [name, h] : st->as_object()) {
+        if (!keep(name)) continue;
+        StageWindow& w = f.stages[name];
+        w.p95_series.resize(f.window.size(), 0.0);
+        w.p95_series[i] = h.number_or("p95_us", 0.0);
+        w.newest = &h;
+        w.total_count += h.number_or("count", 0.0);
+      }
+    if (const Value* cs = r.find("counters"); cs != nullptr && cs->is_object())
+      for (const auto& [name, c] : cs->as_object()) {
+        if (!keep(name)) continue;
+        f.counters[name].first = c.number_or("total", 0.0);
+        f.counters[name].second += c.number_or("delta", 0.0);
+      }
+  }
+  return f;
+}
+
+/// Stage table with a p95 sparkline across the window.
+void append_stage_table(std::string& out, IntervalFold& f,
+                        const char* title) {
+  appendf(out, "%-28s %8s %9s %9s %9s %9s  %s\n", title, "ev/s",
+          "mean us", "p50 us", "p95 us", "p99 us", "p95 trend");
+  for (auto& [name, w] : f.stages) {
+    w.p95_series.resize(f.window.size(), 0.0);
+    const double rate =
+        f.window_ms > 0.0 ? w.total_count / (f.window_ms / 1e3) : 0.0;
+    const Value& h = *w.newest;
+    appendf(out, "%-28s %8.1f %9.1f %9.1f %9.1f %9.1f  %s\n", name.c_str(),
+            rate, h.number_or("mean_us", 0.0), h.number_or("p50_us", 0.0),
+            h.number_or("p95_us", 0.0), h.number_or("p99_us", 0.0),
+            sparkline(w.p95_series).c_str());
+  }
+  out += "\n";
+}
+
+/// Counter rates over the window (delta sums / wall time).
+void append_counter_table(std::string& out, const IntervalFold& f) {
+  appendf(out, "%-28s %12s %10s\n", "counter", "total", "per s");
+  for (const auto& [name, tc] : f.counters)
+    appendf(out, "%-28s %12.0f %10.1f\n", name.c_str(), tc.first,
+            f.window_ms > 0.0 ? tc.second / (f.window_ms / 1e3) : 0.0);
+  out += "\n";
+}
+
+void append_bad_lines(std::string& out, const ParsedStream& stream) {
+  if (stream.bad_lines > 0)
+    appendf(out, "warning: %zu unparseable interior line%s skipped\n",
+            stream.bad_lines, stream.bad_lines == 1 ? "" : "s");
+}
 
 }  // namespace
 
@@ -81,81 +159,54 @@ ParsedStream parse_jsonl(const std::string& text) {
   return out;
 }
 
+bool load_text(const std::string& path, std::string* text,
+               std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (error != nullptr) *error = "cannot read " + path;
+    return false;
+  }
+  std::ostringstream os;
+  os << in.rdbuf();
+  *text = os.str();
+  return true;
+}
+
+bool load_jsonl(const std::string& path, ParsedStream* out,
+                std::string* error) {
+  std::string text;
+  if (!load_text(path, &text, error)) return false;
+  *out = parse_jsonl(text);
+  return true;
+}
+
+bool load_json(const std::string& path, json::Value* out,
+               std::string* error) {
+  std::string text, err;
+  if (!load_text(path, &text, error)) return false;
+  *out = Value::parse(text, &err);
+  if (err.empty()) return true;
+  if (error != nullptr) *error = path + ": " + err;
+  return false;
+}
+
 std::string render_intervals(const ParsedStream& stream,
                              const std::string& source, std::size_t last) {
-  std::vector<const Value*> records;
-  for (const Value& v : stream.records)
-    if (v.string_or("kind", "") == "telemetry") records.push_back(&v);
-  if (records.empty()) return {};
+  IntervalFold f =
+      fold_intervals(stream, last, [](const std::string&) { return true; });
+  if (f.window.empty()) return {};
+  const Value& newest = *f.window.back();
 
   std::string out;
-  const std::size_t begin = records.size() > last ? records.size() - last : 0;
-  const std::vector<const Value*> window(
-      records.begin() + static_cast<std::ptrdiff_t>(begin), records.end());
-  const Value& newest = *window.back();
-  double window_ms = 0.0;
-  for (const Value* r : window) window_ms += r->number_or("dt_ms", 0.0);
-
   appendf(out,
           "%s — interval %zu..%zu of %zu, window %.1f s, "
           "breach_total %lld\n",
-          source.c_str(), begin + 1, records.size(), records.size(),
-          window_ms / 1e3,
+          source.c_str(), f.begin + 1, f.total, f.total, f.window_ms / 1e3,
           static_cast<long long>(newest.number_or("breach_total", 0)));
-  if (stream.bad_lines > 0)
-    appendf(out, "warning: %zu unparseable interior line%s skipped\n",
-            stream.bad_lines, stream.bad_lines == 1 ? "" : "s");
+  append_bad_lines(out, stream);
   out += "\n";
-
-  // Stage table with a p95 sparkline across the window.
-  std::map<std::string, StageWindow> stages;
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const Value* st = window[i]->find("stages");
-    if (st == nullptr || !st->is_object()) continue;
-    for (const auto& [name, h] : st->as_object()) {
-      StageWindow& w = stages[name];
-      w.p95_series.resize(window.size(), 0.0);
-      w.p95_series[i] = h.number_or("p95_us", 0.0);
-      w.count = h.number_or("count", 0.0);
-      w.mean_us = h.number_or("mean_us", 0.0);
-      w.p50_us = h.number_or("p50_us", 0.0);
-      w.p95_us = h.number_or("p95_us", 0.0);
-      w.p99_us = h.number_or("p99_us", 0.0);
-      w.max_us = h.number_or("max_us", 0.0);
-      w.total_count += h.number_or("count", 0.0);
-    }
-  }
-  if (!stages.empty()) {
-    appendf(out, "%-28s %8s %9s %9s %9s %9s  %s\n", "stage", "ev/s",
-            "mean us", "p50 us", "p95 us", "p99 us", "p95 trend");
-    for (auto& [name, w] : stages) {
-      w.p95_series.resize(window.size(), 0.0);
-      const double rate =
-          window_ms > 0.0 ? w.total_count / (window_ms / 1e3) : 0.0;
-      appendf(out, "%-28s %8.1f %9.1f %9.1f %9.1f %9.1f  %s\n",
-              name.c_str(), rate, w.mean_us, w.p50_us, w.p95_us, w.p99_us,
-              sparkline(w.p95_series).c_str());
-    }
-    out += "\n";
-  }
-
-  // Counter rates over the window (delta sums / wall time).
-  std::map<std::string, std::pair<double, double>> counters;  // total, delta
-  for (const Value* r : window) {
-    const Value* cs = r->find("counters");
-    if (cs == nullptr || !cs->is_object()) continue;
-    for (const auto& [name, c] : cs->as_object()) {
-      counters[name].first = c.number_or("total", 0.0);
-      counters[name].second += c.number_or("delta", 0.0);
-    }
-  }
-  if (!counters.empty()) {
-    appendf(out, "%-28s %12s %10s\n", "counter", "total", "per s");
-    for (const auto& [name, tc] : counters)
-      appendf(out, "%-28s %12.0f %10.1f\n", name.c_str(), tc.first,
-              window_ms > 0.0 ? tc.second / (window_ms / 1e3) : 0.0);
-    out += "\n";
-  }
+  if (!f.stages.empty()) append_stage_table(out, f, "stage");
+  if (!f.counters.empty()) append_counter_table(out, f);
 
   // Fault injections, when the fault harness is live.
   if (const Value* faults = newest.find("faults");
@@ -170,7 +221,7 @@ std::string render_intervals(const ParsedStream& stream,
 
   // Budget breaches anywhere in the window.
   std::size_t breaches = 0;
-  for (const Value* r : window) {
+  for (const Value* r : f.window) {
     const Value* bs = r->find("breaches");
     if (bs == nullptr || !bs->is_array()) continue;
     for (const Value& b : bs->as_array()) {
@@ -190,68 +241,25 @@ std::string render_intervals(const ParsedStream& stream,
 
 std::string render_serve(const ParsedStream& stream,
                          const std::string& source, std::size_t last) {
-  std::vector<const Value*> records;
-  for (const Value& v : stream.records)
-    if (v.string_or("kind", "") == "telemetry") records.push_back(&v);
-  if (records.empty()) return {};
-
-  const std::size_t begin = records.size() > last ? records.size() - last : 0;
-  const std::vector<const Value*> window(
-      records.begin() + static_cast<std::ptrdiff_t>(begin), records.end());
-  const Value& newest = *window.back();
-  double window_ms = 0.0;
-  for (const Value* r : window) window_ms += r->number_or("dt_ms", 0.0);
-
   const auto is_serve = [](const std::string& name) {
     return name.rfind("serve/", 0) == 0;
   };
-
-  // Stage windows restricted to the serving plane.
-  std::map<std::string, StageWindow> stages;
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const Value* st = window[i]->find("stages");
-    if (st == nullptr || !st->is_object()) continue;
-    for (const auto& [name, h] : st->as_object()) {
-      if (!is_serve(name)) continue;
-      StageWindow& w = stages[name];
-      w.p95_series.resize(window.size(), 0.0);
-      w.p95_series[i] = h.number_or("p95_us", 0.0);
-      w.count = h.number_or("count", 0.0);
-      w.mean_us = h.number_or("mean_us", 0.0);
-      w.p50_us = h.number_or("p50_us", 0.0);
-      w.p95_us = h.number_or("p95_us", 0.0);
-      w.p99_us = h.number_or("p99_us", 0.0);
-      w.total_count += h.number_or("count", 0.0);
-    }
-  }
-
-  std::map<std::string, std::pair<double, double>> counters;  // total, delta
-  for (const Value* r : window) {
-    const Value* cs = r->find("counters");
-    if (cs == nullptr || !cs->is_object()) continue;
-    for (const auto& [name, c] : cs->as_object()) {
-      if (!is_serve(name)) continue;
-      counters[name].first = c.number_or("total", 0.0);
-      counters[name].second += c.number_or("delta", 0.0);
-    }
-  }
+  IntervalFold f = fold_intervals(stream, last, is_serve);
+  if (f.window.empty()) return {};
 
   std::map<std::string, double> gauges;
-  if (const Value* gs = newest.find("gauges");
+  if (const Value* gs = f.window.back()->find("gauges");
       gs != nullptr && gs->is_object())
     for (const auto& [name, gv] : gs->as_object())
       if (is_serve(name) && gv.is_number()) gauges[name] = gv.as_number();
 
-  if (stages.empty() && counters.empty() && gauges.empty()) return {};
+  if (f.stages.empty() && f.counters.empty() && gauges.empty()) return {};
 
   std::string out;
   appendf(out, "%s — serving plane, interval %zu..%zu of %zu, "
                "window %.1f s\n",
-          source.c_str(), begin + 1, records.size(), records.size(),
-          window_ms / 1e3);
-  if (stream.bad_lines > 0)
-    appendf(out, "warning: %zu unparseable interior line%s skipped\n",
-            stream.bad_lines, stream.bad_lines == 1 ? "" : "s");
+          source.c_str(), f.begin + 1, f.total, f.total, f.window_ms / 1e3);
+  append_bad_lines(out, stream);
   out += "\n";
 
   if (!gauges.empty()) {
@@ -268,28 +276,8 @@ std::string render_serve(const ParsedStream& stream,
     }
     out += "\n";
   }
-
-  if (!counters.empty()) {
-    appendf(out, "%-28s %12s %10s\n", "counter", "total", "per s");
-    for (const auto& [name, tc] : counters)
-      appendf(out, "%-28s %12.0f %10.1f\n", name.c_str(), tc.first,
-              window_ms > 0.0 ? tc.second / (window_ms / 1e3) : 0.0);
-    out += "\n";
-  }
-
-  if (!stages.empty()) {
-    appendf(out, "%-28s %8s %9s %9s %9s %9s  %s\n", "latency", "ev/s",
-            "mean us", "p50 us", "p95 us", "p99 us", "p95 trend");
-    for (auto& [name, w] : stages) {
-      w.p95_series.resize(window.size(), 0.0);
-      const double rate =
-          window_ms > 0.0 ? w.total_count / (window_ms / 1e3) : 0.0;
-      appendf(out, "%-28s %8.1f %9.1f %9.1f %9.1f %9.1f  %s\n",
-              name.c_str(), rate, w.mean_us, w.p50_us, w.p95_us, w.p99_us,
-              sparkline(w.p95_series).c_str());
-    }
-    out += "\n";
-  }
+  if (!f.counters.empty()) append_counter_table(out, f);
+  if (!f.stages.empty()) append_stage_table(out, f, "latency");
   return out;
 }
 
@@ -313,9 +301,7 @@ std::string render_tail(const ParsedStream& stream,
   for (const auto& [label, frames] : by_label) total_frames += frames.size();
   appendf(out, "%s — tail attribution over %zu frame record%s\n",
           source.c_str(), total_frames, total_frames == 1 ? "" : "s");
-  if (stream.bad_lines > 0)
-    appendf(out, "warning: %zu unparseable interior line%s skipped\n",
-            stream.bad_lines, stream.bad_lines == 1 ? "" : "s");
+  append_bad_lines(out, stream);
   out += "\n";
 
   for (const auto& [label, frames] : by_label) {

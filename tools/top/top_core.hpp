@@ -3,7 +3,9 @@
 // Parsing and rendering core of mmhand_top, split out as a static
 // library so tests can drive it on synthetic streams — torn tails from
 // killed writers, interior corruption, tail-latency attribution —
-// without spawning the CLI.
+// without spawning the CLI.  Its loaders are the one reader behind the
+// tools: mmhand_top, every mmhand_report input and mmhand_lint's inputs
+// load through them.
 //
 // The JSONL input is whatever the telemetry sampler streams via
 // MMHAND_TELEMETRY's out= path; since a closing FrameScope appends
@@ -30,6 +32,20 @@ struct ParsedStream {
 /// unparseable line anywhere else (or a newline-terminated bad tail)
 /// indicates real corruption and counts in `bad_lines`.
 ParsedStream parse_jsonl(const std::string& text);
+
+/// Reads `path` whole.  False (with `*error`) when it cannot be read.
+bool load_text(const std::string& path, std::string* text,
+               std::string* error);
+
+/// Reads `path` and parses it with parse_jsonl's torn-tail rule.  False
+/// (with `*error`) only when the file cannot be read.
+bool load_jsonl(const std::string& path, ParsedStream* out,
+                std::string* error);
+
+/// Reads `path` and parses it as one JSON document.  False (with
+/// `*error`) when the file cannot be read or does not parse.
+bool load_json(const std::string& path, json::Value* out,
+               std::string* error);
 
 /// Renders the newest `last` sampler intervals (the classic top view):
 /// per-stage rates and windowed percentiles with a p95 sparkline,
