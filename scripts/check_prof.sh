@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Profiling gate: proves the causal-tracing + PMU layer end to end.
 #
-# Pass 1 runs `mmhand_cli predict` at 4 threads with tracing and the
-# telemetry sampler attached, then feeds the Chrome trace to
-# scripts/check_trace.py: every cross-thread worker span must bind back
-# to its frame's flow anchor, and the JSONL stream must carry exactly
-# one kind:"frame" record per anchor.  The tail-attribution view
-# (`mmhand_top --tail`) must render over those records.
+# Pass 1 runs the drained-parity serve driver (`mmhand_soak parity`,
+# 8 sessions) at 4 threads with tracing and the telemetry sampler
+# attached, then feeds the Chrome trace to scripts/check_trace.py: every
+# cross-thread worker span must bind back to its frame's flow anchor,
+# and the JSONL stream must carry exactly one kind:"frame" record per
+# anchor.  The bindings come from the conv per-sample `parallel_for`:
+# the stacked serve batch fans the conv trunk out across the pool under
+# each batch's frame scope (an offline predict run no longer does).  The
+# tail-attribution view (`mmhand_top --tail`) must render over those
+# records.
 #
 # Pass 2 is the degradation story: MMHAND_PMU=1 must succeed whether or
 # not the host lets us at perf_event_open (CI containers usually do
@@ -25,19 +29,21 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${1:-build}
 
 cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target mmhand_cli mmhand_top mmhand_report
+cmake --build "$BUILD_DIR" -j --target mmhand_cli mmhand_soak mmhand_top \
+  mmhand_report
 
 CLI="$BUILD_DIR/examples/mmhand_cli"
+SOAK="$BUILD_DIR/tools/mmhand_soak"
 TOP="$BUILD_DIR/tools/mmhand_top"
 REPORT="$BUILD_DIR/tools/mmhand_report"
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-echo "== pass 1: traced 4-thread predict run, flow + frame records =="
+echo "== pass 1: traced 4-thread serve run, flow + frame records =="
 MMHAND_THREADS=4 \
 MMHAND_TRACE="$WORK/trace.json" \
 MMHAND_TELEMETRY="50,out=$WORK/tel.jsonl" \
-  "$CLI" predict --fast --cache "$WORK/cache" --seconds 1.0 --repeat 5
+  "$SOAK" parity --sessions 8 --threads 4
 
 python3 scripts/check_trace.py "$WORK/trace.json" \
   --min-anchors 5 --min-bindings 4 --telemetry "$WORK/tel.jsonl"

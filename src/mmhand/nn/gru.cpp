@@ -1,6 +1,8 @@
 #include "mmhand/nn/gru.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "mmhand/nn/activations.hpp"
 #include "mmhand/nn/gemm.hpp"
@@ -24,61 +26,67 @@ Gru::Gru(int input_size, int hidden_size, Rng& rng)
 
 Tensor Gru::forward(const Tensor& x, bool training) {
   MMHAND_SPAN("nn/gru_forward");
-  MMHAND_CHECK(x.rank() == 2 && x.dim(1) == input_,
-               "Gru expects [T, " << input_ << "]");
-  const int t_len = x.dim(0);
+  MMHAND_CHECK((x.rank() == 2 || x.rank() == 3) &&
+                   x.dim(x.rank() - 1) == input_,
+               "Gru expects [T, " << input_ << "] or [B, T, " << input_
+                                  << "]");
+  MMHAND_CHECK(!training || x.rank() == 2,
+               "Gru training takes one [T, F] sequence");
+  const int bsz = x.rank() == 3 ? x.dim(0) : 1;
+  const int t_len = x.dim(x.rank() - 2);
   const int h = hidden_;
-  Tensor gates({t_len, 3 * h});
-  Tensor hh_n({t_len, h});
-  Tensor hiddens({t_len, h});
+  Tensor hiddens(x.rank() == 3 ? Shape{bsz, t_len, h} : Shape{t_len, h});
 
-  // Input pre-activations for every timestep in one GEMM; the recurrent
-  // half (the candidate uses r . (W_hh h + b_hh), so the two stay separate)
-  // remains a per-step single-row GEMM.
-  Tensor pre_all({t_len, 3 * h});
-  for (int t = 0; t < t_len; ++t) {
-    float* pt = pre_all.data() + static_cast<std::size_t>(t) * 3 * h;
+  // Input pre-activations for every (sample, timestep) row in one GEMM;
+  // the recurrent half (the candidate uses r . (W_hh h + b_hh), so the two
+  // stay separate) is a per-step [B x 3H] GEMM.  The gate math overwrites
+  // each pre-activation with its post-activation value, so under training
+  // the projection tensor becomes the gate cache.
+  Tensor pre_all({bsz * t_len, 3 * h});
+  for (int r0 = 0; r0 < bsz * t_len; ++r0) {
+    float* pt = pre_all.data() + static_cast<std::size_t>(r0) * 3 * h;
     for (int r = 0; r < 3 * h; ++r)
       pt[r] = bias_ih_.value[static_cast<std::size_t>(r)];
   }
-  gemm_a_bt_acc(x.data(), w_ih_.value.data(), pre_all.data(), t_len, input_,
-                3 * h);
+  gemm_a_bt_acc(x.data(), w_ih_.value.data(), pre_all.data(), bsz * t_len,
+                input_, 3 * h);
 
-  std::vector<float> h_prev(static_cast<std::size_t>(h), 0.0f);
-  std::vector<float> hh(static_cast<std::size_t>(3 * h));
+  if (training) hh_n_ = Tensor({t_len, h});
+  std::vector<float> h_prev(static_cast<std::size_t>(bsz) * h, 0.0f);
+  std::vector<float> hh(static_cast<std::size_t>(bsz) * 3 * h);
   for (int t = 0; t < t_len; ++t) {
-    const float* pre =
-        pre_all.data() + static_cast<std::size_t>(t) * 3 * h;
-    for (int r = 0; r < 3 * h; ++r)
-      hh[static_cast<std::size_t>(r)] =
-          bias_hh_.value[static_cast<std::size_t>(r)];
-    gemm_a_bt_acc(h_prev.data(), w_hh_.value.data(), hh.data(), 1, h, 3 * h);
-    float* gt = gates.data() + static_cast<std::size_t>(t) * 3 * h;
-    float* nh = hh_n.data() + static_cast<std::size_t>(t) * h;
-    float* ht = hiddens.data() + static_cast<std::size_t>(t) * h;
-    for (int j = 0; j < h; ++j) {
-      const float r_gate = sigmoid_value(pre[static_cast<std::size_t>(j)] +
-                                         hh[static_cast<std::size_t>(j)]);
-      const float z_gate =
-          sigmoid_value(pre[static_cast<std::size_t>(h + j)] +
-                        hh[static_cast<std::size_t>(h + j)]);
-      const float hh_cand = hh[static_cast<std::size_t>(2 * h + j)];
-      const float n_gate = tanh_value(
-          pre[static_cast<std::size_t>(2 * h + j)] + r_gate * hh_cand);
-      gt[j] = r_gate;
-      gt[h + j] = z_gate;
-      gt[2 * h + j] = n_gate;
-      nh[j] = hh_cand;
-      ht[j] = (1.0f - z_gate) * n_gate +
-              z_gate * h_prev[static_cast<std::size_t>(j)];
+    for (int b = 0; b < bsz; ++b)
+      std::copy(bias_hh_.value.data(), bias_hh_.value.data() + 3 * h,
+                hh.begin() + static_cast<std::ptrdiff_t>(b) * 3 * h);
+    gemm_a_bt_acc(h_prev.data(), w_hh_.value.data(), hh.data(), bsz, h,
+                  3 * h);
+    for (int b = 0; b < bsz; ++b) {
+      float* gt = pre_all.data() +
+                  (static_cast<std::size_t>(b) * t_len + t) * 3 * h;
+      const float* hb = hh.data() + static_cast<std::size_t>(b) * 3 * h;
+      float* hp = h_prev.data() + static_cast<std::size_t>(b) * h;
+      float* ht = hiddens.data() +
+                  (static_cast<std::size_t>(b) * t_len + t) * h;
+      for (int j = 0; j < h; ++j) {
+        const float r_gate = sigmoid_value(gt[j] + hb[j]);
+        const float z_gate = sigmoid_value(gt[h + j] + hb[h + j]);
+        const float n_gate =
+            tanh_value(gt[2 * h + j] + r_gate * hb[2 * h + j]);
+        gt[j] = r_gate;
+        gt[h + j] = z_gate;
+        gt[2 * h + j] = n_gate;
+        ht[j] = (1.0f - z_gate) * n_gate + z_gate * hp[j];
+        hp[j] = ht[j];
+      }
     }
-    std::copy(ht, ht + h, h_prev.begin());
+    if (training)
+      std::copy(hh.begin() + 2 * h, hh.begin() + 3 * h,
+                hh_n_.data() + static_cast<std::size_t>(t) * h);
   }
 
   if (training) {
     cached_input_ = x;
-    gates_ = std::move(gates);
-    hh_n_ = std::move(hh_n);
+    gates_ = std::move(pre_all);
     hiddens_ = hiddens;
   }
   return hiddens;

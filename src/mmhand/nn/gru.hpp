@@ -1,6 +1,7 @@
 #pragma once
 
-// Single-layer GRU over a sequence [T, F] -> hidden states [T, H].
+// Single-layer GRU: a sequence [T, F] -> hidden states [T, H], or B
+// independent sequences [B, T, F] -> [B, T, H].
 //
 // Used by the temporal-model ablation (bench_ablation_temporal): the paper
 // chooses an LSTM for temporal feature extraction; the GRU is the natural
@@ -14,7 +15,11 @@ class Gru : public Layer {
  public:
   Gru(int input_size, int hidden_size, Rng& rng);
 
-  /// x: [T, input]; returns [T, hidden].  State starts at zero per call.
+  /// x: [T, input] -> [T, hidden], or [B, T, input] -> [B, T, hidden].
+  /// State starts at zero for every sequence.  One loop serves both ranks
+  /// (per-step [B x 3H] recurrent GEMM); sequence b of a batch is bitwise
+  /// identical to a forward over that sequence alone.  training caches
+  /// what backward() needs and takes one [T, input] sequence only.
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override {

@@ -2,36 +2,6 @@
 
 namespace mmhand::nn {
 
-Tensor Layer::forward_sequences(const Tensor& x, int sequences) {
-  MMHAND_CHECK(sequences >= 1 && x.rank() >= 1 &&
-                   x.dim(0) % sequences == 0,
-               "forward_sequences: dim0 " << x.dim(0)
-                                          << " not divisible into "
-                                          << sequences << " sequences");
-  if (sequences == 1) return forward(x, false);
-  const int rows = x.dim(0) / sequences;
-  Shape slice_shape = x.shape();
-  slice_shape[0] = rows;
-  const std::size_t stride = x.numel() / static_cast<std::size_t>(sequences);
-  Tensor slice(slice_shape);
-  Tensor out;
-  std::size_t out_stride = 0;
-  for (int b = 0; b < sequences; ++b) {
-    const float* src = x.data() + static_cast<std::size_t>(b) * stride;
-    for (std::size_t i = 0; i < stride; ++i) slice[i] = src[i];
-    Tensor y = forward(slice, false);
-    if (b == 0) {
-      Shape out_shape = y.shape();
-      out_shape[0] *= sequences;
-      out = Tensor(out_shape);
-      out_stride = y.numel();
-    }
-    float* dst = out.data() + static_cast<std::size_t>(b) * out_stride;
-    for (std::size_t i = 0; i < out_stride; ++i) dst[i] = y[i];
-  }
-  return out;
-}
-
 void zero_grads(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) p->grad.zero();
 }

@@ -33,7 +33,9 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the output and caches whatever backward() will need.
+  /// Computes the output and caches whatever backward() will need.  The
+  /// batch comes from the input's shape: recurrent layers take one
+  /// sequence [T, F] or B independent sequences [B, T, F].
   virtual Tensor forward(const Tensor& x, bool training) = 0;
 
   /// Consumes dL/d(output), accumulates parameter gradients, and returns
@@ -42,15 +44,6 @@ class Layer {
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }
-
-  /// Inference over `sequences` independent samples stacked along dim 0
-  /// (the darknet-style `batch*steps` layout: sample b owns rows
-  /// [b*rows, (b+1)*rows)).  The default slices the stack and runs
-  /// forward(training=false) per sample, so it is bitwise identical to
-  /// per-sample inference for every layer; recurrent layers override it
-  /// with a cross-sequence batched step that preserves that identity
-  /// (the serving layer's drained-parity guarantee depends on it).
-  virtual Tensor forward_sequences(const Tensor& x, int sequences);
 
   virtual std::string name() const = 0;
 };

@@ -43,81 +43,20 @@ Lstm::Lstm(int input_size, int hidden_size, Rng& rng)
 
 Tensor Lstm::forward(const Tensor& x, bool training) {
   MMHAND_SPAN("nn/lstm_forward");
-  MMHAND_CHECK(x.rank() == 2 && x.dim(1) == input_,
-               "Lstm expects [T, " << input_ << "]");
-  const int t_len = x.dim(0);
+  MMHAND_CHECK((x.rank() == 2 || x.rank() == 3) &&
+                   x.dim(x.rank() - 1) == input_,
+               "Lstm expects [T, " << input_ << "] or [B, T, " << input_
+                                   << "]");
+  MMHAND_CHECK(!training || x.rank() == 2,
+               "Lstm training takes one [T, F] sequence");
+  const int bsz = x.rank() == 3 ? x.dim(0) : 1;
+  const int t_len = x.dim(x.rank() - 2);
   const int h = hidden_;
-  Tensor gates({t_len, 4 * h});
-  Tensor cells({t_len, h});
-  Tensor hiddens({t_len, h});
+  Tensor hiddens(x.rank() == 3 ? Shape{bsz, t_len, h} : Shape{t_len, h});
 
-  // Input projections for every timestep in one GEMM: the x-dependent half
-  // of the gate pre-activations has no recurrence, so batching it across
-  // time turns T matrix-vector products into one [T x 4h] matrix multiply.
-  Tensor pre({t_len, 4 * h});
-  for (int t = 0; t < t_len; ++t) {
-    float* pt = pre.data() + static_cast<std::size_t>(t) * 4 * h;
-    for (int r = 0; r < 4 * h; ++r)
-      pt[r] = bias_.value[static_cast<std::size_t>(r)];
-  }
-  gemm_a_bt_acc(x.data(), w_ih_.value.data(), pre.data(), t_len, input_,
-                4 * h);
-
-  float* h_prev = lstm_scratch(0, static_cast<std::size_t>(h));
-  float* c_prev = lstm_scratch(1, static_cast<std::size_t>(h));
-  std::fill(h_prev, h_prev + h, 0.0f);
-  std::fill(c_prev, c_prev + h, 0.0f);
-  for (int t = 0; t < t_len; ++t) {
-    float* gt = gates.data() + static_cast<std::size_t>(t) * 4 * h;
-    // Pre-activations: (W_ih x + b) batched above, plus W_hh h_prev.
-    const float* pt = pre.data() + static_cast<std::size_t>(t) * 4 * h;
-    std::copy(pt, pt + 4 * h, gt);
-    gemm_a_bt_acc(h_prev, w_hh_.value.data(), gt, 1, h, 4 * h);
-    // Activations and state update.
-    float* ct = cells.data() + static_cast<std::size_t>(t) * h;
-    float* ht = hiddens.data() + static_cast<std::size_t>(t) * h;
-    for (int j = 0; j < h; ++j) {
-      const float ig = sigmoid_value(gt[j]);
-      const float fg = sigmoid_value(gt[h + j]);
-      const float gg = tanh_value(gt[2 * h + j]);
-      const float og = sigmoid_value(gt[3 * h + j]);
-      gt[j] = ig;
-      gt[h + j] = fg;
-      gt[2 * h + j] = gg;
-      gt[3 * h + j] = og;
-      ct[j] = fg * c_prev[static_cast<std::size_t>(j)] + ig * gg;
-      ht[j] = og * tanh_value(ct[j]);
-    }
-    std::copy(ht, ht + h, h_prev);
-    std::copy(ct, ct + h, c_prev);
-  }
-
-  if (training) {
-    cached_input_ = x;
-    gates_ = std::move(gates);
-    cells_ = std::move(cells);
-    hiddens_ = hiddens;
-    return hiddens;
-  }
-  return hiddens;
-}
-
-Tensor Lstm::forward_sequences(const Tensor& x, int sequences) {
-  MMHAND_SPAN("nn/lstm_forward");
-  MMHAND_CHECK(x.rank() == 2 && x.dim(1) == input_,
-               "Lstm expects [B*T, " << input_ << "]");
-  MMHAND_CHECK(sequences >= 1 && x.dim(0) % sequences == 0,
-               "Lstm forward_sequences: dim0 " << x.dim(0)
-                                               << " not divisible into "
-                                               << sequences
-                                               << " sequences");
-  const int bsz = sequences;
-  const int t_len = x.dim(0) / bsz;
-  const int h = hidden_;
-  Tensor hiddens({bsz * t_len, h});
-
-  // Input projections for every (sample, timestep) row in one GEMM —
-  // per row this is the exact arithmetic of the single-sample pass.
+  // Input projections for every (sample, timestep) row in one GEMM: the
+  // x-dependent half of the gate pre-activations has no recurrence, so
+  // batching it turns B*T matrix-vector products into one multiply.
   Tensor pre({bsz * t_len, 4 * h});
   for (int r0 = 0; r0 < bsz * t_len; ++r0) {
     float* pt = pre.data() + static_cast<std::size_t>(r0) * 4 * h;
@@ -127,6 +66,10 @@ Tensor Lstm::forward_sequences(const Tensor& x, int sequences) {
   gemm_a_bt_acc(x.data(), w_ih_.value.data(), pre.data(), bsz * t_len,
                 input_, 4 * h);
 
+  if (training) {
+    gates_ = Tensor({t_len, 4 * h});
+    cells_ = Tensor({t_len, h});
+  }
   float* h_prev = lstm_scratch(0, static_cast<std::size_t>(bsz) * h);
   float* c_prev = lstm_scratch(1, static_cast<std::size_t>(bsz) * h);
   float* step = lstm_scratch(2, static_cast<std::size_t>(bsz) * 4 * h);
@@ -136,8 +79,8 @@ Tensor Lstm::forward_sequences(const Tensor& x, int sequences) {
     // Gather this timestep's pre-activations into a contiguous [B, 4H]
     // block, then add the recurrent projection for all samples at once.
     // gemm gives each output element the same ascending-k FMA chain
-    // whatever the row count, so each sample's row rounds exactly as
-    // the single-sample pass's m = 1 call does.
+    // whatever the row count, so each sample's row rounds exactly as a
+    // one-sequence (m = 1) step would.
     for (int b = 0; b < bsz; ++b) {
       const float* pt =
           pre.data() +
@@ -156,11 +99,26 @@ Tensor Lstm::forward_sequences(const Tensor& x, int sequences) {
         const float fg = sigmoid_value(gt[h + j]);
         const float gg = tanh_value(gt[2 * h + j]);
         const float og = sigmoid_value(gt[3 * h + j]);
+        gt[j] = ig;
+        gt[h + j] = fg;
+        gt[2 * h + j] = gg;
+        gt[3 * h + j] = og;
         cb[j] = fg * cb[j] + ig * gg;
         ht[j] = og * tanh_value(cb[j]);
         hb[j] = ht[j];
       }
     }
+    if (training) {
+      std::copy(step, step + 4 * h,
+                gates_.data() + static_cast<std::size_t>(t) * 4 * h);
+      std::copy(c_prev, c_prev + h,
+                cells_.data() + static_cast<std::size_t>(t) * h);
+    }
+  }
+
+  if (training) {
+    cached_input_ = x;
+    hiddens_ = hiddens;
   }
   return hiddens;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
-// Single-layer LSTM over a sequence [T, F] -> hidden states [T, H].
+// Single-layer LSTM: a sequence [T, F] -> hidden states [T, H], or B
+// independent sequences [B, T, F] -> [B, T, H].
 //
 // mmHand's temporal model (§IV-A): the per-segment feature vectors produced
 // by mmSpaceNet form a sequence; the LSTM extracts temporal features that
@@ -14,17 +15,16 @@ class Lstm : public Layer {
  public:
   Lstm(int input_size, int hidden_size, Rng& rng);
 
-  /// x: [T, input]; returns [T, hidden].  State starts at zero per call
-  /// (sequences are independent samples).
+  /// x: [T, input] -> [T, hidden], or [B, T, input] -> [B, T, hidden].
+  /// State starts at zero for every sequence.  One loop serves both
+  /// ranks: one input-projection GEMM over all B*T rows, then a per-step
+  /// [B x 4H] recurrent GEMM.  gemm rounds each row independently of the
+  /// row count, so sequence b of a batch is bitwise identical to a
+  /// forward over that sequence alone (the serving layer's drained-parity
+  /// guarantee depends on it).  training caches what backward() needs and
+  /// takes one [T, input] sequence only.
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Cross-sequence batched inference: x is [B*T, input] with sample b
-  /// owning rows [b*T, (b+1)*T).  One big input-projection GEMM plus a
-  /// per-timestep [B x 4H] recurrent GEMM replace B independent scans;
-  /// every per-element summation order matches the single-sample path,
-  /// so each sample's rows are bitwise identical to forward() on that
-  /// sample alone (asserted by tests/test_serve.cpp).
-  Tensor forward_sequences(const Tensor& x, int sequences) override;
   std::vector<Parameter*> parameters() override {
     return {&w_ih_, &w_hh_, &bias_};
   }

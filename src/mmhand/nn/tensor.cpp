@@ -249,6 +249,11 @@ Tensor Tensor::reshaped(Shape shape) const {
   return t;
 }
 
+void Tensor::reshape(Shape shape) {
+  MMHAND_CHECK(shape.numel() == numel(), "reshape element count mismatch");
+  shape_ = shape;
+}
+
 void Tensor::fill(float value) {
   for (auto& v : data_) v = value;
 }

@@ -141,6 +141,8 @@ class Tensor {
 
   /// Same data, new shape (element count must match).
   Tensor reshaped(Shape shape) const;
+  /// reshaped() in place: no copy.
+  void reshape(Shape shape);
 
   void fill(float value);
   void zero() { fill(0.0f); }

@@ -9,10 +9,14 @@
 #include <sstream>
 
 #include "mmhand/obs/log.hpp"
+#include "mmhand/obs/runlog.hpp"
 
 namespace mmhand::obs {
 
 namespace {
+
+using detail::json_escape;
+using detail::json_number;
 
 /// Bucket i >= 1 covers [2^((i-1)/2), 2^(i/2)); bucket 0 catches
 /// everything below 1 and the last bucket everything above ~2^31.
@@ -65,15 +69,8 @@ Registry& registry() {
   return r;
 }
 
-struct MergedHistogram {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::max();
-  double max = std::numeric_limits<double>::lowest();
-  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
-};
-
-double merged_percentile(const MergedHistogram& m, double q) {
+/// Interpolated percentile (q in [0, 100]) of a merged snapshot.
+double snapshot_percentile(const HistogramSnapshot& m, double q) {
   if (m.count == 0) return 0.0;
   const double target =
       std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(m.count);
@@ -93,33 +90,6 @@ double merged_percentile(const MergedHistogram& m, double q) {
     }
   }
   return m.max;
-}
-
-/// %.17g survives a double round-trip; trim to something readable but
-/// still JSON-legal (never inf/nan — merged stats are finite by
-/// construction).
-std::string json_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -150,47 +120,7 @@ void Histogram::record(double value) {
 }
 
 HistogramStats Histogram::stats() const {
-  MergedHistogram m;
-  for (const Shard& s : shards_) {
-    m.count += s.count.load(std::memory_order_relaxed);
-    m.sum += std::bit_cast<double>(s.sum_bits.load(std::memory_order_relaxed));
-    m.min = std::min(
-        m.min,
-        std::bit_cast<double>(s.min_bits.load(std::memory_order_relaxed)));
-    m.max = std::max(
-        m.max,
-        std::bit_cast<double>(s.max_bits.load(std::memory_order_relaxed)));
-    for (int i = 0; i < kBuckets; ++i)
-      m.buckets[static_cast<std::size_t>(i)] +=
-          s.buckets[static_cast<std::size_t>(i)].load(
-              std::memory_order_relaxed);
-  }
-  HistogramStats out;
-  out.count = m.count;
-  if (m.count == 0) return out;
-  out.sum = m.sum;
-  out.min = m.min;
-  out.max = m.max;
-  out.mean = m.sum / static_cast<double>(m.count);
-  out.p50 = merged_percentile(m, 50.0);
-  out.p95 = merged_percentile(m, 95.0);
-  out.p99 = merged_percentile(m, 99.0);
-  return out;
-}
-
-double Histogram::percentile(double q) const {
-  const HistogramStats s = stats();
-  if (s.count == 0) return 0.0;
-  MergedHistogram m;
-  m.count = s.count;
-  m.min = s.min;
-  m.max = s.max;
-  for (const Shard& shard : shards_)
-    for (int i = 0; i < kBuckets; ++i)
-      m.buckets[static_cast<std::size_t>(i)] +=
-          shard.buckets[static_cast<std::size_t>(i)].load(
-              std::memory_order_relaxed);
-  return merged_percentile(m, q);
+  return snapshot_stats(snapshot());
 }
 
 HistogramSnapshot Histogram::snapshot() const {
@@ -247,19 +177,13 @@ HistogramStats snapshot_stats(const HistogramSnapshot& s) {
   HistogramStats out;
   out.count = s.count;
   if (s.count == 0) return out;
-  MergedHistogram m;
-  m.count = s.count;
-  m.sum = s.sum;
-  m.min = s.min;
-  m.max = s.max;
-  m.buckets = s.buckets;
   out.sum = s.sum;
   out.min = s.min;
   out.max = s.max;
   out.mean = s.sum / static_cast<double>(s.count);
-  out.p50 = merged_percentile(m, 50.0);
-  out.p95 = merged_percentile(m, 95.0);
-  out.p99 = merged_percentile(m, 99.0);
+  out.p50 = snapshot_percentile(s, 50.0);
+  out.p95 = snapshot_percentile(s, 95.0);
+  out.p99 = snapshot_percentile(s, 99.0);
   return out;
 }
 

@@ -94,10 +94,8 @@ class Histogram {
   static constexpr int kBuckets = 64;
 
   void record(double value);
-  /// Merged snapshot across shards.  All-zero when empty.
+  /// snapshot_stats(snapshot()).  All-zero when empty.
   HistogramStats stats() const;
-  /// Single percentile (q in [0, 100]) from a merged snapshot.
-  double percentile(double q) const;
   /// Raw merged bucket counts (the unit the telemetry sampler diffs
   /// between intervals for windowed percentiles).
   HistogramSnapshot snapshot() const;

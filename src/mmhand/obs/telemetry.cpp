@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -86,6 +87,14 @@ void emit_locked(Sampler& s, const std::string& line) {
     MMHAND_WARN("telemetry: append to %s failed", s.out.path().c_str());
 }
 
+/// OpenMetrics sample value: the spec's NaN/+Inf/-Inf tokens for
+/// non-finite values (a gauge may hold a diverged loss), %.9g otherwise.
+std::string om_number(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return json_number(v);
+}
+
 /// Rewrites the OpenMetrics mirror from lifetime registry state (write
 /// to a temp sibling + rename, so scrapers never see a partial file).
 void write_openmetrics_locked(const Sampler& s, const MetricsSample& ms) {
@@ -116,7 +125,7 @@ void write_openmetrics_locked(const Sampler& s, const MetricsSample& ms) {
   f << "# TYPE mmhand_gauge gauge\n"
     << "# HELP mmhand_gauge Last-write-wins scalars (loss, lr, ...).\n";
   for (const auto& [name, v] : ms.gauges)
-    f << "mmhand_gauge{name=\"" << label(name) << "\"} " << json_number(v)
+    f << "mmhand_gauge{name=\"" << label(name) << "\"} " << om_number(v)
       << "\n";
   f << "# TYPE mmhand_stage_latency_us summary\n"
     << "# HELP mmhand_stage_latency_us Lifetime per-stage latency "
@@ -125,15 +134,15 @@ void write_openmetrics_locked(const Sampler& s, const MetricsSample& ms) {
     const HistogramStats st = snapshot_stats(snap);
     const std::string l = label(name);
     f << "mmhand_stage_latency_us{name=\"" << l << "\",quantile=\"0.5\"} "
-      << json_number(st.p50) << "\n"
+      << om_number(st.p50) << "\n"
       << "mmhand_stage_latency_us{name=\"" << l << "\",quantile=\"0.95\"} "
-      << json_number(st.p95) << "\n"
+      << om_number(st.p95) << "\n"
       << "mmhand_stage_latency_us{name=\"" << l << "\",quantile=\"0.99\"} "
-      << json_number(st.p99) << "\n"
+      << om_number(st.p99) << "\n"
       << "mmhand_stage_latency_us_count{name=\"" << l << "\"} " << st.count
       << "\n"
       << "mmhand_stage_latency_us_sum{name=\"" << l << "\"} "
-      << json_number(st.sum) << "\n";
+      << om_number(st.sum) << "\n";
   }
   f << "# TYPE mmhand_fault_injected counter\n"
     << "# HELP mmhand_fault_injected Faults injected per kind "

@@ -89,46 +89,45 @@ HandJointRegressor::HandJointRegressor(const PoseNetConfig& config, Rng& rng)
 MMHAND_REALTIME
 nn::Tensor HandJointRegressor::forward(const nn::Tensor& x, bool training) {
   const int frames = config_.frames_per_sample();
-  MMHAND_CHECK(x.rank() == 4 && x.dim(0) == frames &&
+  const int segments = config_.sequence_segments;
+  MMHAND_CHECK(x.rank() == 4 && x.dim(0) % frames == 0 &&
                    x.dim(1) == config_.velocity_bins &&
                    x.dim(2) == config_.range_bins &&
                    x.dim(3) == config_.angle_bins,
                "pose input shape mismatch");
-  // Spatial features for every frame (frames are independent through the
-  // conv trunk, so the sequence is processed as one batch).
+  const int batch = x.dim(0) / frames;
+  MMHAND_CHECK(!training || batch == 1,
+               "pose training takes one sample, got " << batch);
+  // Spatial features for every frame of every sample in one conv-trunk
+  // pass: frames are independent through mmSpaceNet (per-frame attention
+  // pooling, per-sample conv batch loop), so the stacked pass equals
+  // per-sample passes bitwise.
   nn::Tensor feat = spacenet_.forward(x, training);
-  // Group frames into segments: [S, st * C2 * H' * W'].
-  nn::Tensor grouped =
-      feat.reshaped({config_.sequence_segments, flat_features_});
-  nn::Tensor seg = segment_fc_.forward(grouped, training);
+  // Group frames into segments: [B*S, st * C2 * H' * W'].  The projection
+  // and head treat rows independently.
+  feat.reshape({batch * segments, flat_features_});
+  nn::Tensor seg = segment_fc_.forward(feat, training);
   seg = segment_act_.forward(seg, training);
-  // Temporal features over the segment sequence (identity under the
-  // no-temporal ablation).
-  if (temporal_) seg = temporal_->forward(seg, training);
+  // Temporal features over each sample's segment sequence (identity under
+  // the no-temporal ablation): [B*S, feat] -> B sequences [B, S, feat] and
+  // back.  One sample stays the [S, feat] sequence training's BPTT takes.
+  if (temporal_) {
+    seg.reshape(batch == 1 ? nn::Shape{segments, config_.feature_dim}
+                           : nn::Shape{batch, segments, config_.feature_dim});
+    seg = temporal_->forward(seg, training);
+    seg.reshape({batch * segments, config_.lstm_hidden});
+  }
   return head_.forward(seg, training);
 }
 
 MMHAND_REALTIME
 nn::Tensor HandJointRegressor::forward_batch(const nn::Tensor& x,
                                              int batch) {
-  const int frames = config_.frames_per_sample();
-  MMHAND_CHECK(batch >= 1, "forward_batch batch " << batch);
-  MMHAND_CHECK(x.rank() == 4 && x.dim(0) == batch * frames &&
-                   x.dim(1) == config_.velocity_bins &&
-                   x.dim(2) == config_.range_bins &&
-                   x.dim(3) == config_.angle_bins,
-               "pose batch input shape mismatch");
-  // One conv-trunk pass over every frame of every sample: frames are
-  // independent through mmSpaceNet (per-frame attention pooling, per-
-  // sample conv batch loop), so the stacked pass equals per-sample
-  // passes bitwise.
-  nn::Tensor feat = spacenet_.forward(x, false);
-  nn::Tensor grouped = feat.reshaped(
-      {batch * config_.sequence_segments, flat_features_});
-  nn::Tensor seg = segment_fc_.forward(grouped, false);
-  seg = segment_act_.forward(seg, false);
-  if (temporal_) seg = temporal_->forward_sequences(seg, batch);
-  return head_.forward(seg, false);
+  MMHAND_CHECK(batch >= 1 && x.rank() >= 1 &&
+                   x.dim(0) == batch * config_.frames_per_sample(),
+               "forward_batch: input does not hold " << batch
+                                                      << " samples");
+  return forward(x, false);
 }
 
 void HandJointRegressor::backward(const nn::Tensor& grad) {
@@ -139,10 +138,9 @@ void HandJointRegressor::backward(const nn::Tensor& grad) {
   if (temporal_) g = temporal_->backward(g);
   g = segment_act_.backward(g);
   g = segment_fc_.backward(g);
-  g = g.reshaped({config_.frames_per_sample(),
-                  config_.spacenet.block2_channels,
-                  config_.range_bins / MmSpaceNet::kSpatialReduction,
-                  config_.angle_bins / MmSpaceNet::kSpatialReduction});
+  g.reshape({config_.frames_per_sample(), config_.spacenet.block2_channels,
+             config_.range_bins / MmSpaceNet::kSpatialReduction,
+             config_.angle_bins / MmSpaceNet::kSpatialReduction});
   (void)spacenet_.backward(g);
 }
 

@@ -47,17 +47,15 @@ class HandJointRegressor {
  public:
   HandJointRegressor(const PoseNetConfig& config, Rng& rng);
 
-  /// x: [S*st, V, D, A] normalized cube frames of one sample.
-  /// Returns [S, 63]: 21 joints x (x, y, z) meters per segment.
+  /// x: [B*S*st, V, D, A] normalized cube frames, sample b owning frame
+  /// rows [b*S*st, (b+1)*S*st).  Returns [B*S, 63]: 21 joints x (x, y, z)
+  /// meters per segment.  The batch comes from x's shape; each sample's
+  /// rows are bitwise identical to a forward over that sample alone (the
+  /// serving layer's drained-parity guarantee).  training takes B = 1.
   nn::Tensor forward(const nn::Tensor& x, bool training);
 
-  /// Cross-session batched inference: x is [B*S*st, V, D, A] with sample
-  /// b owning frame rows [b*S*st, (b+1)*S*st).  Returns [B*S, 63].  The
-  /// conv trunk treats frames independently, the per-segment projection
-  /// and head treat rows independently, and the temporal layer runs its
-  /// batched-sequence path, so each sample's output rows are bitwise
-  /// identical to forward() on that sample alone — the invariant behind
-  /// the serving layer's drained-parity guarantee.
+  /// Inference over `batch` stacked samples: forward(x, false) after
+  /// checking that x holds exactly `batch` of them.
   nn::Tensor forward_batch(const nn::Tensor& x, int batch);
 
   /// grad: [S, 63].  Accumulates parameter gradients.

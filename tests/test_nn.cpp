@@ -816,9 +816,10 @@ TEST(Parameters, LoadRejectsShapeMismatch) {
 
 // ---- NN output golden: the bits of a paper-shaped batched forward.
 
-/// FNV-1a over the float bit patterns of `t`.
-std::uint64_t bits_hash(const Tensor& t) {
-  std::uint64_t h = 1469598103934665603ull;
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+/// FNV-1a over the float bit patterns of `t`, continuing from `h`.
+std::uint64_t bits_hash(const Tensor& t, std::uint64_t h = kFnvOffset) {
   for (std::size_t i = 0; i < t.numel(); ++i) {
     const auto v = std::bit_cast<std::uint32_t>(t[i]);
     for (int b = 0; b < 4; ++b) {
@@ -863,6 +864,61 @@ TEST_F(NnGolden, Avx2ForwardBatchHashUnchanged) {
   if (!simd::isa_supported(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2";
   ASSERT_TRUE(simd::set_isa(simd::Isa::kAvx2));
   EXPECT_EQ(golden_forward_hash(), 0x6851587a78868e97ull);
+}
+
+// ---- Training golden: the bits of one forward(training) + backward.
+
+/// Hash of every parameter gradient of a fixed-seed tiny regressor after
+/// one training forward and a backward of a fixed upstream gradient,
+/// under the active ISA.  NnGolden pins only the inference forward; this
+/// pins the training forward (the recurrent layer's cached path) and BPTT.
+std::uint64_t golden_train_hash(pose::TemporalKind temporal) {
+  pose::PoseNetConfig cfg;
+  cfg.sequence_segments = 3;
+  cfg.velocity_bins = 4;
+  cfg.range_bins = 8;
+  cfg.angle_bins = 8;
+  cfg.feature_dim = 24;
+  cfg.lstm_hidden = 16;
+  cfg.temporal = temporal;
+  cfg.spacenet.stem_channels = 4;
+  cfg.spacenet.block1_channels = 6;
+  cfg.spacenet.block2_channels = 6;
+  Rng rng(49);
+  pose::HandJointRegressor model(cfg, rng);
+  Rng xrng(50);
+  const Tensor x = random_tensor({cfg.frames_per_sample(), cfg.velocity_bins,
+                                  cfg.range_bins, cfg.angle_bins},
+                                 xrng);
+  const Tensor grad = random_tensor({cfg.sequence_segments, 63}, xrng);
+  const auto params = model.parameters();
+  zero_grads(params);
+  (void)model.forward(x, true);
+  model.backward(grad);
+  std::uint64_t h = kFnvOffset;
+  for (const Parameter* p : params) h = bits_hash(p->grad, h);
+  return h;
+}
+
+// Captured before the LSTM's one-sequence and batched loops became one;
+// any drift is a change to training arithmetic, not a tolerance issue.
+using TrainGolden = GemmPerIsa;
+
+TEST_F(TrainGolden, ScalarGradientHashesUnchanged) {
+  ASSERT_TRUE(simd::set_isa(simd::Isa::kScalar));
+  EXPECT_EQ(golden_train_hash(pose::TemporalKind::kLstm),
+            0x4f7171e5234763acull);
+  EXPECT_EQ(golden_train_hash(pose::TemporalKind::kGru),
+            0xe44a0d2459d6fb8full);
+}
+
+TEST_F(TrainGolden, Avx2GradientHashesUnchanged) {
+  if (!simd::isa_supported(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2";
+  ASSERT_TRUE(simd::set_isa(simd::Isa::kAvx2));
+  EXPECT_EQ(golden_train_hash(pose::TemporalKind::kLstm),
+            0x10dc92b3ad10cde8ull);
+  EXPECT_EQ(golden_train_hash(pose::TemporalKind::kGru),
+            0x87b997d2469fb808ull);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -418,13 +419,26 @@ TEST(ObsMetrics, JsonSnapshotIsBalancedAndNamesMetrics) {
   obs::counter("test/obs.snapshot_counter").add(7);
   obs::gauge("test/obs.snapshot_gauge").set(1.5);
   obs::histogram("test/obs.snapshot_hist").record(10.0);
+  // The trainer sets its loss gauge from the epoch loss, which can diverge.
+  obs::Gauge& nan_gauge = obs::gauge("test/obs.snapshot_nan_gauge");
+  nan_gauge.set(std::numeric_limits<double>::quiet_NaN());
   const std::string json = obs::metrics_json();
+  nan_gauge.reset();
   EXPECT_TRUE(json_balanced(json)) << json.substr(0, 200);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"test/obs.snapshot_counter\""), std::string::npos);
   EXPECT_NE(json.find("\"test/obs.snapshot_gauge\""), std::string::npos);
   EXPECT_NE(json.find("\"test/obs.snapshot_hist\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  std::string error;
+  const json::Value doc = json::Value::parse(json, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const json::Value* gauges = doc.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const json::Value* nan_value = gauges->find("test/obs.snapshot_nan_gauge");
+  ASSERT_NE(nan_value, nullptr);
+  ASSERT_TRUE(nan_value->is_string());
+  EXPECT_EQ(nan_value->as_string(), "NaN");
 }
 
 TEST(ObsMetrics, ResetZeroesButKeepsHandles) {

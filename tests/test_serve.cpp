@@ -12,6 +12,7 @@
 
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/fault/fault.hpp"
+#include "mmhand/nn/gru.hpp"
 #include "mmhand/nn/lstm.hpp"
 #include "mmhand/obs/alloc.hpp"
 #include "mmhand/pose/inference.hpp"
@@ -110,38 +111,38 @@ nn::Tensor random_tensor(const nn::Shape& shape, Rng& rng) {
 }
 
 TEST(ForwardSequences, LstmBatchedPathMatchesPerSample) {
+  // A recurrent layer takes its batch from the input's shape: sequence b
+  // of a rank-3 [B, T, F] forward must equal a rank-2 [T, F] forward over
+  // that sequence alone, bit for bit.  The GRU shares the LSTM's shape.
+  constexpr int kBatch = 3, t_len = 5, in = 6, hid = 8;
   Rng rng(3);
-  nn::Lstm lstm(6, 8, rng);
-  const int t_len = 5;
+  nn::Lstm lstm(in, hid, rng);
+  nn::Gru gru(in, hid, rng);
   Rng xrng(4);
   std::vector<nn::Tensor> xs;
-  for (int b = 0; b < 3; ++b) xs.push_back(random_tensor({t_len, 6}, xrng));
-  nn::Tensor stacked({3 * t_len, 6});
-  for (int b = 0; b < 3; ++b)
+  for (int b = 0; b < kBatch; ++b)
+    xs.push_back(random_tensor({t_len, in}, xrng));
+  nn::Tensor stacked({kBatch, t_len, in});
+  for (int b = 0; b < kBatch; ++b)
     std::copy(xs[static_cast<std::size_t>(b)].data(),
-              xs[static_cast<std::size_t>(b)].data() + t_len * 6,
-              stacked.data() + static_cast<std::size_t>(b) * t_len * 6);
-  const nn::Tensor batched = lstm.forward_sequences(stacked, 3);
-  for (int b = 0; b < 3; ++b) {
-    const nn::Tensor solo =
-        lstm.forward(xs[static_cast<std::size_t>(b)], false);
-    for (int t = 0; t < t_len; ++t)
-      for (int h = 0; h < 8; ++h)
-        EXPECT_EQ(batched.at(b * t_len + t, h), solo.at(t, h))
-            << "sample " << b << " t " << t << " h " << h;
+              xs[static_cast<std::size_t>(b)].data() + t_len * in,
+              stacked.data() + static_cast<std::size_t>(b) * t_len * in);
+  for (nn::Layer* layer : {static_cast<nn::Layer*>(&lstm),
+                           static_cast<nn::Layer*>(&gru)}) {
+    const nn::Tensor batched = layer->forward(stacked, false);
+    ASSERT_EQ(batched.shape(), nn::Shape({kBatch, t_len, hid}));
+    // backward handles one sequence, so training takes rank 2 only.
+    EXPECT_THROW(layer->forward(stacked, true), Error) << layer->name();
+    for (int b = 0; b < kBatch; ++b) {
+      const nn::Tensor solo =
+          layer->forward(xs[static_cast<std::size_t>(b)], false);
+      for (int t = 0; t < t_len; ++t)
+        for (int h = 0; h < hid; ++h)
+          EXPECT_EQ(batched.at(b, t, h), solo.at(t, h))
+              << layer->name() << " sample " << b << " t " << t << " h "
+              << h;
+    }
   }
-}
-
-TEST(ForwardSequences, DefaultSlicePathMatchesPerSample) {
-  Rng rng(5);
-  nn::Linear fc(6, 4, rng);
-  Rng xrng(6);
-  const nn::Tensor x = random_tensor({8, 6}, xrng);
-  const nn::Tensor batched = fc.forward_sequences(x, 2);
-  const nn::Tensor whole = fc.forward(x, false);
-  ASSERT_EQ(batched.numel(), whole.numel());
-  for (std::size_t e = 0; e < whole.numel(); ++e)
-    EXPECT_EQ(batched[e], whole[e]);
 }
 
 pose::PoseNetConfig tiny_net() {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -299,9 +300,13 @@ TEST(TelemetryOutput, OpenMetricsExpositionIsWellFormed) {
   ASSERT_TRUE(obs::set_telemetry(config));
   obs::counter("test/tel.om_counter").add(2);
   obs::histogram("test/tel.om_stage").record(10.0);
+  obs::gauge("test/tel.om_nan").set(std::numeric_limits<double>::quiet_NaN());
+  obs::gauge("test/tel.om_inf").set(-std::numeric_limits<double>::infinity());
   obs::telemetry_sample_now();
   obs::telemetry_sample_now();
   obs::stop_telemetry();
+  obs::gauge("test/tel.om_nan").reset();
+  obs::gauge("test/tel.om_inf").reset();
 
   std::ifstream f(om);
   ASSERT_TRUE(f.is_open());
@@ -319,6 +324,11 @@ TEST(TelemetryOutput, OpenMetricsExpositionIsWellFormed) {
   EXPECT_NE(text.find("quantile=\"0.95\""), std::string::npos);
   EXPECT_NE(text.find("mmhand_stage_latency_us_count"), std::string::npos);
   EXPECT_NE(text.find("mmhand_telemetry_intervals_total"), std::string::npos);
+  // Non-finite gauges use the spec's bare tokens, not JSON strings.
+  EXPECT_NE(text.find("mmhand_gauge{name=\"test/tel.om_nan\"} NaN\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("mmhand_gauge{name=\"test/tel.om_inf\"} -Inf\n"),
+            std::string::npos);
   // Exactly one EOF, and nothing after it.
   std::size_t eofs = 0;
   for (const std::string& l : lines) eofs += (l == "# EOF") ? 1 : 0;
