@@ -2,10 +2,19 @@
 
 // 2-D convolution and transposed convolution over [N, C, H, W] maps.
 //
-// Both run im2col/col2im + nn/gemm.  ConvTranspose2d is the adjoint of a
-// Conv2d of the same geometry, so its forward is that conv's backward-data
-// pass (gemm, then col2im) and its backward-data that conv's forward
-// (im2col, then gemm).
+// Both forwards run as implicit GEMM through nn/gemm, moving each input
+// element about once.  Conv2d packs its weights once per call and gathers
+// each B panel straight from the input's (c, ki, kj) taps (a zero-bordered
+// copy when pad > 0; a 1x1, stride-1, pad-0 conv reads the sample as B).
+// ConvTranspose2d is the adjoint of a Conv2d of the same geometry, so its
+// forward is that conv's backward-data pass: per sample and output
+// channel, x_s^T * W lands in a [pixels x K*K] tile that col2im scatters
+// while it is hot.  The backward passes run im2col/col2im + nn/gemm
+// (the conv's backward-data is gemm then col2im, the deconv's im2col then
+// gemm).  Every output keeps the bits of the explicit im2col + GEMM form:
+// bias plus one ascending-(c, ki, kj) FMA chain for Conv2d; bias plus its
+// taps in ascending (ki, kj) order, each an ascending-IC chain, for
+// ConvTranspose2d.
 
 #include "mmhand/nn/layer.hpp"
 

@@ -14,7 +14,7 @@ namespace mmhand::nn {
 
 namespace {
 
-/// Call/FLOP/byte accounting for every GEMM layout.  Disabled cost:
+/// Call/FLOP/byte accounting for every GEMM product.  Disabled cost:
 /// one relaxed atomic load; enabled cost: three sharded relaxed adds.
 /// Bytes are the compulsory-traffic estimate (read A and B once, read+
 /// write C once, 4-byte floats) that `mmhand_report --roofline` divides
@@ -30,6 +30,11 @@ inline void note_gemm(std::int64_t m, std::int64_t k, std::int64_t n) {
   bytes.add(4 * (m * k + k * n + 2 * m * n));
 }
 
+obs::SpanSite& gemm_span_site() {
+  static obs::SpanSite site("nn/gemm");
+  return site;
+}
+
 // Minimum flops per parallel task; below this the dispatch overhead wins
 // and `parallel_for` collapses to the serial path via its grain check.
 constexpr std::int64_t kMinChunkFlops = 1 << 15;
@@ -41,8 +46,8 @@ struct View {
   std::size_t rs, cs;
 };
 
-/// Per-thread packing buffers, grown on demand: slot 0 holds the calling
-/// thread's A panels, slot 1 the B panel of the task it runs.
+/// Per-thread packing buffers, grown on demand: slot 0 holds the A panels
+/// this thread packed last, slot 1 the B panel of the task it runs.
 /// Steady-state inference allocates nothing here (audited in
 /// scripts/purity_allowlist.json).
 float* pack_scratch(int slot, std::size_t floats) {
@@ -72,41 +77,52 @@ void pack_panel(const float* src, std::size_t line, std::size_t depth,
   }
 }
 
-/// C[m x n] += A[m x k] * B[k x n] through the active ISA's tile kernel.
-/// A is packed once into zero-padded gemm_mr-row panels; each task owns
-/// one gemm_nr-column panel of C and reads B in place when its rows are
-/// contiguous and the panel is full, else packs it zero-padded — through
-/// the kernel table's transposing pack when B's columns are k-contiguous
-/// (the A*B^T layout).  The kernel gives every element the same
-/// ascending-k FMA chain wherever its tile sits, so results do not
-/// depend on m, n or the thread count.
-void gemm_strided(View a, View b, float* c, int m, int k, int n) {
-  note_gemm(m, k, n);
-  MMHAND_SPAN("nn/gemm");
-  const simd::Kernels* kern = &simd::kernels();
-  const int mr = kern->gemm_mr, nr = kern->gemm_nr;
-  const int padded_m = (m + mr - 1) / mr * mr;
-  float* ap = pack_scratch(0, static_cast<std::size_t>(padded_m) * k);
-  for (int i0 = 0; i0 < padded_m; i0 += mr)
-    pack_panel(a.p + i0 * a.rs, a.rs, a.cs, m - i0, mr, k,
-               ap + static_cast<std::size_t>(i0) * k);
+/// Where a product's B panels come from: the strided view, or, when
+/// `row_off` is set, the gather B(p, j) = view.p[row_off[p] + col_off[j]].
+struct BSource {
+  View view;
+  const int* row_off = nullptr;
+  const int* col_off = nullptr;
+};
+
+/// C[m x n] += A * B for a packed A.  Each task owns one gemm_nr-column
+/// panel of C and reads B in place when its rows are contiguous and the
+/// panel is full, else packs it zero-padded — through the kernel table's
+/// gathering pack, its transposing pack when B's columns are k-contiguous
+/// (the A*B^T layout), or the strided pack.  The kernel gives every
+/// element the same ascending-k FMA chain wherever its tile sits, so
+/// results do not depend on m, n or the thread count.
+void run_panels(const PackedA& a, BSource b, float* c, std::size_t ldc,
+                int n) {
+  const simd::Kernels* kern = a.kern;
+  const int m = a.m, k = a.k, nr = kern->gemm_nr;
+  const float* ap = a.panels;
+  const View v = b.view;
   const std::int64_t panel_flops = 2ll * m * k * nr + 1;
   const std::int64_t grain =
       std::max<std::int64_t>(1, kMinChunkFlops / panel_flops);
   parallel_for(0, (n + nr - 1) / nr, grain, [=](std::int64_t jp) {
     const int j0 = static_cast<int>(jp) * nr;
     const int cols = std::min(nr, n - j0);
-    if (b.cs == 1 && cols == nr) {
-      kern->gemm_panel(ap, b.p + j0, b.rs, c + j0, n, m, cols, k);
+    if (b.row_off == nullptr && v.cs == 1 && cols == nr) {
+      kern->gemm_panel(ap, v.p + j0, v.rs, c + j0, ldc, m, cols, k);
       return;
     }
     float* bp = pack_scratch(1, static_cast<std::size_t>(k) * nr);
-    if (b.rs == 1)
-      kern->gemm_pack_lines(b.p + j0 * b.cs, b.cs, cols, k, bp);
+    if (b.row_off != nullptr)
+      kern->gemm_pack_gather(v.p, b.row_off, b.col_off + j0, cols, k, bp);
+    else if (v.rs == 1)
+      kern->gemm_pack_lines(v.p + j0 * v.cs, v.cs, cols, k, bp);
     else
-      pack_panel(b.p + j0 * b.cs, b.cs, b.rs, cols, nr, k, bp);
-    kern->gemm_panel(ap, bp, nr, c + j0, n, m, cols, k);
+      pack_panel(v.p + j0 * v.cs, v.cs, v.rs, cols, nr, k, bp);
+    kern->gemm_panel(ap, bp, nr, c + j0, ldc, m, cols, k);
   });
+}
+
+void gemm_strided(View a, View b, float* c, int m, int k, int n) {
+  const GemmScope scope(m, k, n);
+  run_panels(gemm_pack_a(a.p, a.rs, a.cs, m, k), {b}, c,
+             static_cast<std::size_t>(n), n);
 }
 
 }  // namespace
@@ -127,6 +143,32 @@ void gemm_a_bt_acc(const float* a, const float* b, float* c, int m, int k,
                    int n) {
   gemm_strided({a, static_cast<std::size_t>(k), 1},
                {b, 1, static_cast<std::size_t>(k)}, c, m, k, n);
+}
+
+PackedA gemm_pack_a(const float* a, std::size_t rs, std::size_t cs, int m,
+                    int k) {
+  const simd::Kernels* kern = &simd::kernels();
+  const int mr = kern->gemm_mr;
+  const int padded_m = (m + mr - 1) / mr * mr;
+  float* ap = pack_scratch(0, static_cast<std::size_t>(padded_m) * k);
+  for (int i0 = 0; i0 < padded_m; i0 += mr)
+    pack_panel(a + i0 * rs, rs, cs, m - i0, mr, k,
+               ap + static_cast<std::size_t>(i0) * k);
+  return {ap, kern, m, k};
+}
+
+void gemm_packed_acc(const PackedA& a, const float* b, std::size_t ldb,
+                     float* c, std::size_t ldc, int n) {
+  run_panels(a, {{b, ldb, 1}}, c, ldc, n);
+}
+
+void gemm_gather_acc(const PackedA& a, const float* src, const int* row_off,
+                     const int* col_off, float* c, std::size_t ldc, int n) {
+  run_panels(a, {{src, 0, 0}, row_off, col_off}, c, ldc, n);
+}
+
+GemmScope::GemmScope(int m, int k, int n) : span_(gemm_span_site()) {
+  note_gemm(m, k, n);
 }
 
 }  // namespace mmhand::nn

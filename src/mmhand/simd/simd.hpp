@@ -123,6 +123,14 @@ struct Kernels {
   /// zero for the lines past `valid`.  Data movement only.
   void (*gemm_pack_lines)(const float* src, std::size_t line, int valid,
                           int k, float* dst);
+
+  /// Gathers gemm_nr columns into a k x gemm_nr B panel for gemm_panel:
+  /// dst[p*gemm_nr + j] = src[row_off[p] + col_off[j]] for j < valid, zero
+  /// for the columns past `valid` (col_off is read only below `valid`;
+  /// src[row_off[p]] must be readable).  Data movement only; the
+  /// implicit-GEMM convolution's B pack.
+  void (*gemm_pack_gather)(const float* src, const int* row_off,
+                           const int* col_off, int valid, int k, float* dst);
   int gemm_mr = 1;
   int gemm_nr = 1;
 };

@@ -79,6 +79,11 @@ struct VAvx2F {
   void store(float* p) const { _mm256_storeu_ps(p, v); }
   static VAvx2F broadcast(float x) { return {_mm256_set1_ps(x)}; }
   static VAvx2F zero() { return {_mm256_setzero_ps()}; }
+  /// Lane j = base[idx[j]].
+  static VAvx2F gather(const float* base, const int* idx) {
+    return {_mm256_i32gather_ps(
+        base, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), 4)};
+  }
 
   friend VAvx2F operator+(VAvx2F a, VAvx2F b) {
     return {_mm256_add_ps(a.v, b.v)};

@@ -63,6 +63,13 @@ struct VNeonF {
   void store(float* p) const { vst1q_f32(p, v); }
   static VNeonF broadcast(float x) { return {vdupq_n_f32(x)}; }
   static VNeonF zero() { return {vdupq_n_f32(0.0f)}; }
+  /// Lane j = base[idx[j]] (NEON has no gather; four lane loads).
+  static VNeonF gather(const float* base, const int* idx) {
+    float32x4_t v = vld1q_dup_f32(base + idx[0]);
+    v = vld1q_lane_f32(base + idx[1], v, 1);
+    v = vld1q_lane_f32(base + idx[2], v, 2);
+    return {vld1q_lane_f32(base + idx[3], v, 3)};
+  }
 
   friend VNeonF operator+(VNeonF a, VNeonF b) { return {vaddq_f32(a.v, b.v)}; }
 

@@ -69,6 +69,9 @@ struct VScalarF {
   void store(float* p) const { *p = v; }
   static VScalarF broadcast(float x) { return {x}; }
   static VScalarF zero() { return {0.0f}; }
+  static VScalarF gather(const float* base, const int* idx) {
+    return {base[*idx]};
+  }
 
   friend VScalarF operator+(VScalarF a, VScalarF b) { return {a.v + b.v}; }
 

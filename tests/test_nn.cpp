@@ -298,6 +298,9 @@ TEST_P(ConvGeometry, GradCheck) {
 constexpr ConvCase kConvCases[] = {
     {1, 1, 3, 1, 1, 5, 5}, {2, 3, 3, 2, 1, 6, 6}, {3, 2, 1, 1, 0, 4, 4},
     {2, 2, 5, 1, 2, 7, 7}, {2, 4, 3, 2, 1, 5, 7},
+    // OC past gemm_mr and 20 output pixels past the AVX2 gemm_nr: more
+    // than one A panel and one B panel.
+    {3, 7, 3, 1, 1, 5, 4},
 };
 
 INSTANTIATE_TEST_SUITE_P(Geometries, ConvGeometry,
@@ -452,7 +455,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 2, 4, 2, 1, 4, 4},
                       ConvCase{3, 1, 3, 1, 1, 4, 4},
                       ConvCase{2, 4, 4, 2, 1, 3, 5},
-                      ConvCase{3, 2, 3, 2, 1, 5, 4}));
+                      ConvCase{3, 2, 3, 2, 1, 5, 4},
+                      // K*K = 25 spans two AVX2 gemm_nr column panels.
+                      ConvCase{2, 3, 5, 2, 2, 3, 4}));
 
 TEST(ConvTranspose2d, DoublesSpatialExtent) {
   Rng rng(14);
@@ -463,6 +468,143 @@ TEST(ConvTranspose2d, DoublesSpatialExtent) {
   const Tensor y = deconv.forward(x, false);
   EXPECT_EQ(y.dim(2), 6);
   EXPECT_EQ(y.dim(3), 6);
+}
+
+// ---- Conv bits per ISA: the forwards against an explicit im2col + GEMM.
+
+/// [ch, h, w] -> [ch*K*K rows x oh*ow pixels], zero where a tap falls in
+/// the padding.
+std::vector<float> im2col_cols(const float* x, int ch, int h, int w, int k,
+                               int stride, int pad, int oh, int ow) {
+  std::vector<float> cols(static_cast<std::size_t>(ch) * k * k * oh * ow);
+  std::size_t r = 0;
+  for (int c = 0; c < ch; ++c)
+    for (int ki = 0; ki < k; ++ki)
+      for (int kj = 0; kj < k; ++kj)
+        for (int i = 0; i < oh; ++i)
+          for (int j = 0; j < ow; ++j, ++r) {
+            const int xi = i * stride + ki - pad, xj = j * stride + kj - pad;
+            if (xi >= 0 && xi < h && xj >= 0 && xj < w)
+              cols[r] = x[(static_cast<std::size_t>(c) * h + xi) * w + xj];
+          }
+  return cols;
+}
+
+/// Conv2d forward as im2col, bias fill, then one gemm_acc per sample.
+std::vector<float> conv_im2col_gemm(const Tensor& x, const Tensor& weight,
+                                    const Tensor& bias, const ConvCase& c,
+                                    int oh, int ow) {
+  const int n = x.dim(0), pixels = oh * ow, rows = c.in_ch * c.k * c.k;
+  std::vector<float> y(static_cast<std::size_t>(n) * c.out_ch * pixels);
+  for (int s = 0; s < n; ++s) {
+    const auto cols = im2col_cols(
+        x.data() + static_cast<std::size_t>(s) * c.in_ch * c.h * c.w,
+        c.in_ch, c.h, c.w, c.k, c.stride, c.pad, oh, ow);
+    float* ys = y.data() + static_cast<std::size_t>(s) * c.out_ch * pixels;
+    for (int oc = 0; oc < c.out_ch; ++oc)
+      std::fill(ys + oc * pixels, ys + (oc + 1) * pixels, bias[oc]);
+    gemm_acc(weight.data(), cols.data(), ys, c.out_ch, rows, pixels);
+  }
+  return y;
+}
+
+/// ConvTranspose2d forward as a zeroed [pixels x OC*K*K] block from
+/// gemm_at_b_acc, then bias fill and a scatter-add over (oc, ki, kj, i, j).
+std::vector<float> deconv_gemm_col2im(const Tensor& x, const Tensor& weight,
+                                      const Tensor& bias, const ConvCase& c,
+                                      int oh, int ow) {
+  const int n = x.dim(0), pixels = c.h * c.w, taps = c.out_ch * c.k * c.k;
+  std::vector<float> y(static_cast<std::size_t>(n) * c.out_ch * oh * ow);
+  for (int s = 0; s < n; ++s) {
+    std::vector<float> cols(static_cast<std::size_t>(pixels) * taps, 0.0f);
+    gemm_at_b_acc(x.data() + static_cast<std::size_t>(s) * c.in_ch * pixels,
+                  weight.data(), cols.data(), pixels, c.in_ch, taps);
+    float* ys = y.data() + static_cast<std::size_t>(s) * c.out_ch * oh * ow;
+    for (int oc = 0; oc < c.out_ch; ++oc)
+      std::fill(ys + oc * oh * ow, ys + (oc + 1) * oh * ow, bias[oc]);
+    int t = 0;
+    for (int oc = 0; oc < c.out_ch; ++oc)
+      for (int ki = 0; ki < c.k; ++ki)
+        for (int kj = 0; kj < c.k; ++kj, ++t)
+          for (int i = 0; i < c.h; ++i)
+            for (int j = 0; j < c.w; ++j) {
+              const int yi = i * c.stride + ki - c.pad;
+              const int yj = j * c.stride + kj - c.pad;
+              if (yi >= 0 && yi < oh && yj >= 0 && yj < ow)
+                ys[(static_cast<std::size_t>(oc) * oh + yi) * ow + yj] +=
+                    cols[static_cast<std::size_t>(i * c.w + j) * taps + t];
+            }
+  }
+  return y;
+}
+
+using ConvPerIsa = GemmPerIsa;
+
+TEST_F(ConvPerIsa, ForwardMatchesIm2colGemmBitwise) {
+  // Off the paper shapes: OC below, at and above gemm_mr; product widths
+  // (pixels) below, at and above gemm_nr; K*K below, at and above the
+  // AVX2 gemm_nr, so packs, tiles and the deconv's per-channel scatter
+  // all cross their edges.  K = 1 at stride 1, pad 0 is the in-place path.
+  constexpr int kGrids[][2] = {{1, 1}, {3, 5}, {4, 4}, {1, 17}, {5, 8}};
+  Rng rng(51);
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    int checked = 0;
+    for (int k : {1, 3, 4, 5})
+      for (int stride : {1, 2})
+        for (int pad = 0; pad <= 2; ++pad)
+          for (const auto& grid : kGrids)
+            for (int oc : {1, 7, 13}) {
+              const std::string where =
+                  std::string(simd::isa_name(isa)) + " oc=" +
+                  std::to_string(oc) + " k=" + std::to_string(k) +
+                  " stride=" + std::to_string(stride) +
+                  " pad=" + std::to_string(pad) + " grid=" +
+                  std::to_string(grid[0]) + "x" + std::to_string(grid[1]);
+              const int ic = 1 + oc % 4;
+              // Conv2d: the grid is the output.
+              ConvCase c{ic, oc, k, stride, pad,
+                         (grid[0] - 1) * stride + k - 2 * pad,
+                         (grid[1] - 1) * stride + k - 2 * pad};
+              if (c.h >= 1 && c.w >= 1) {
+                Conv2d conv(ic, oc, k, stride, pad, rng);
+                Tensor& bias = conv.parameters()[1]->value;
+                for (std::size_t i = 0; i < bias.numel(); ++i)
+                  bias[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+                const Tensor x = random_tensor({2, ic, c.h, c.w}, rng);
+                const Tensor y = conv.forward(x, false);
+                ASSERT_EQ(y.dim(2), grid[0]) << where;
+                ASSERT_EQ(y.dim(3), grid[1]) << where;
+                EXPECT_EQ(bits(std::vector<float>(y.data(),
+                                                  y.data() + y.numel())),
+                          bits(conv_im2col_gemm(x, conv.parameters()[0]->value,
+                                                bias, c, grid[0], grid[1])))
+                    << "Conv2d " << where;
+                ++checked;
+              }
+              // ConvTranspose2d: the grid is the input.
+              c = {ic, oc, k, stride, pad, grid[0], grid[1]};
+              ConvTranspose2d deconv(ic, oc, k, stride, pad, rng);
+              const int oh = deconv.out_extent(c.h);
+              const int ow = deconv.out_extent(c.w);
+              if (oh < 1 || ow < 1) continue;
+              Tensor& bias = deconv.parameters()[1]->value;
+              for (std::size_t i = 0; i < bias.numel(); ++i)
+                bias[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+              // Post-ReLU-like input: some exact zeros.
+              Tensor x = random_tensor({2, ic, c.h, c.w}, rng);
+              for (std::size_t i = 0; i < x.numel(); ++i)
+                if (x[i] < -0.4f) x[i] = 0.0f;
+              const Tensor y = deconv.forward(x, false);
+              EXPECT_EQ(bits(std::vector<float>(y.data(),
+                                                y.data() + y.numel())),
+                        bits(deconv_gemm_col2im(
+                            x, deconv.parameters()[0]->value, bias, c, oh, ow)))
+                  << "ConvTranspose2d " << where;
+              ++checked;
+            }
+    EXPECT_GT(checked, 400) << simd::isa_name(isa);
+  }
 }
 
 TEST(Activations, ReluForwardAndGrad) {
