@@ -8,7 +8,9 @@
 # and the JSONL stream must carry exactly one kind:"frame" record per
 # anchor.  The bindings come from the conv per-sample `parallel_for`:
 # the stacked serve batch fans the conv trunk out across the pool under
-# each batch's frame scope (an offline predict run no longer does).  The
+# each batch's frame scope.  Nothing else in a serve run fans out: a radar
+# frame runs on its caller, and an offline predict run's batch of one
+# stays on the calling thread.  The
 # tail-attribution view (`mmhand_top --tail`) must render over those
 # records.
 #

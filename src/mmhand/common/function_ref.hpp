@@ -3,9 +3,9 @@
 // Non-owning callable reference.
 //
 // `std::function` small-object storage tops out around two pointers, so
-// the capture-heavy lambdas the radar stages hand to `parallel_for`
-// spilled to the heap on every call — one allocation per parallel
-// region, per frame, forever.  `FunctionRef` is the classic two-word
+// the capture-heavy lambdas the conv layers hand to `parallel_for` would
+// spill to the heap on every call — one allocation per parallel region,
+// per batch, forever.  `FunctionRef` is the classic two-word
 // (object pointer, trampoline pointer) view: it never copies or owns
 // the callable, so constructing one from a lambda temporary is free.
 //

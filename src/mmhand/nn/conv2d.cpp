@@ -183,10 +183,8 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
   Tensor y({n, out_ch_, oh, ow});
   // Samples write disjoint output slices and each runs the exact serial
   // arithmetic, so the batch loop parallelizes with bitwise-identical
-  // results at any thread count.  The gemm below notices the enclosing
-  // region and stays serial, avoiding nested-pool oversubscription; a
-  // single-sample batch keeps gemm's own column-panel parallelism instead.
-  parallel_for(0, n, 1, [&](std::int64_t s64) {
+  // results at any thread count.
+  parallel_for(0, n, [&](std::int64_t s64) {
     const int s = static_cast<int>(s64);
     const float* xs = x.data() + static_cast<std::size_t>(s) * in_size;
     float* ys = y.data() + static_cast<std::size_t>(s) * out_ch_ * col_cols;
@@ -292,7 +290,7 @@ Tensor ConvTranspose2d::forward(const Tensor& x, bool training) {
   Tensor y({n, out_ch_, oh, ow});
   // Per-sample parallel as in Conv2d::forward; each sample runs the same
   // serial arithmetic, so results do not depend on N or the thread count.
-  parallel_for(0, n, 1, [&](std::int64_t s64) {
+  parallel_for(0, n, [&](std::int64_t s64) {
     const int s = static_cast<int>(s64);
     // cols [pixels x taps] = x_s^T * W_flat [IC x taps], one output
     // channel's kk columns at a time: each lands in a [pixels x kk] tile

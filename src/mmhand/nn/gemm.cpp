@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mmhand/common/parallel.hpp"
 #include "mmhand/obs/metrics.hpp"
 #include "mmhand/obs/trace.hpp"
 #include "mmhand/simd/simd.hpp"
@@ -35,10 +34,6 @@ obs::SpanSite& gemm_span_site() {
   return site;
 }
 
-// Minimum flops per parallel task; below this the dispatch overhead wins
-// and `parallel_for` collapses to the serial path via its grain check.
-constexpr std::int64_t kMinChunkFlops = 1 << 15;
-
 /// Strided operand view: element (r, c) lives at p[r*rs + c*cs], so one
 /// packing loop reads a row-major matrix and a transposed one alike.
 struct View {
@@ -47,7 +42,7 @@ struct View {
 };
 
 /// Per-thread packing buffers, grown on demand: slot 0 holds the A panels
-/// this thread packed last, slot 1 the B panel of the task it runs.
+/// this thread packed last, slot 1 the B panel it is running.
 /// Steady-state inference allocates nothing here (audited in
 /// scripts/purity_allowlist.json).
 float* pack_scratch(int slot, std::size_t floats) {
@@ -85,28 +80,24 @@ struct BSource {
   const int* col_off = nullptr;
 };
 
-/// C[m x n] += A * B for a packed A.  Each task owns one gemm_nr-column
-/// panel of C and reads B in place when its rows are contiguous and the
+/// C[m x n] += A * B for a packed A, one gemm_nr-column panel of C at a
+/// time.  Each panel reads B in place when its rows are contiguous and the
 /// panel is full, else packs it zero-padded — through the kernel table's
 /// gathering pack, its transposing pack when B's columns are k-contiguous
 /// (the A*B^T layout), or the strided pack.  The kernel gives every
 /// element the same ascending-k FMA chain wherever its tile sits, so
-/// results do not depend on m, n or the thread count.
+/// results do not depend on m or n.
 void run_panels(const PackedA& a, BSource b, float* c, std::size_t ldc,
                 int n) {
   const simd::Kernels* kern = a.kern;
   const int m = a.m, k = a.k, nr = kern->gemm_nr;
   const float* ap = a.panels;
   const View v = b.view;
-  const std::int64_t panel_flops = 2ll * m * k * nr + 1;
-  const std::int64_t grain =
-      std::max<std::int64_t>(1, kMinChunkFlops / panel_flops);
-  parallel_for(0, (n + nr - 1) / nr, grain, [=](std::int64_t jp) {
-    const int j0 = static_cast<int>(jp) * nr;
+  for (int j0 = 0; j0 < n; j0 += nr) {
     const int cols = std::min(nr, n - j0);
     if (b.row_off == nullptr && v.cs == 1 && cols == nr) {
       kern->gemm_panel(ap, v.p + j0, v.rs, c + j0, ldc, m, cols, k);
-      return;
+      continue;
     }
     float* bp = pack_scratch(1, static_cast<std::size_t>(k) * nr);
     if (b.row_off != nullptr)
@@ -116,7 +107,7 @@ void run_panels(const PackedA& a, BSource b, float* c, std::size_t ldc,
     else
       pack_panel(v.p + j0 * v.cs, v.cs, v.rs, cols, nr, k, bp);
     kern->gemm_panel(ap, bp, nr, c + j0, ldc, m, cols, k);
-  });
+  }
 }
 
 void gemm_strided(View a, View b, float* c, int m, int k, int n) {

@@ -18,11 +18,10 @@
 //
 // Numerical contract (DESIGN §9, §13): on every ISA each output element
 // is C_in + (an FMA chain from 0 over k = 0..K-1 in ascending order).
-// The value of an element does not depend on m, n, its tile position,
-// how its B column was packed or `mmhand::num_threads()`, so a row of a
-// batched product equals the single-row product bitwise.  The width-1
-// (scalar) table's FMA is an unfused multiply-add, so outputs differ
-// across ISAs by ulps.
+// The value of an element does not depend on m, n, its tile position or
+// how its B column was packed, so a row of a batched product equals the
+// single-row product bitwise.  The width-1 (scalar) table's FMA is an
+// unfused multiply-add, so outputs differ across ISAs by ulps.
 
 #include <cstddef>
 

@@ -34,6 +34,30 @@ FreeList* ensure_free_list() {
   return t_free_list;
 }
 
+/// When the pool is on and `dst` cannot hold `n` floats, moves the
+/// smallest parked buffer that can into `dst`, so big buffers stay
+/// available for big requests, and counts the hit or miss.
+void adopt_parked(std::vector<float>* dst, std::size_t n) {
+  if (!tensor_pool_enabled() || dst->capacity() >= n) return;
+  FreeList* fl = ensure_free_list();
+  if (fl == nullptr) return;
+  std::size_t best = fl->parked.size();
+  for (std::size_t i = 0; i < fl->parked.size(); ++i) {
+    const std::size_t cap = fl->parked[i].capacity();
+    if (cap < n) continue;
+    if (best == fl->parked.size() || cap < fl->parked[best].capacity())
+      best = i;
+  }
+  if (best == fl->parked.size()) {
+    ++fl->stats.misses;
+    return;
+  }
+  *dst = std::move(fl->parked[best]);
+  fl->parked[best] = std::move(fl->parked.back());
+  fl->parked.pop_back();
+  ++fl->stats.hits;
+}
+
 }  // namespace
 
 void set_tensor_pool_enabled(bool on) {
@@ -63,34 +87,10 @@ void tensor_pool_clear() {
 namespace detail {
 
 /// Fills `dst` with `n` zeros, reusing a parked buffer when the pool is
-/// on.  Audited in scripts/purity_allowlist.json: once the free list
-/// holds a buffer of every size a forward pass requests, this touches
-/// no heap.
+/// on.  Once the free list holds a buffer of every size a forward pass
+/// requests, this touches no heap.
 void tensor_pool_acquire(std::vector<float>* dst, std::size_t n) {
-  if (tensor_pool_enabled() && dst->capacity() < n) {
-    FreeList* fl = ensure_free_list();
-    if (fl != nullptr) {
-      // Smallest parked buffer that fits, so big buffers stay available
-      // for big requests.
-      std::size_t best = fl->parked.size();
-      for (std::size_t i = 0; i < fl->parked.size(); ++i) {
-        const std::size_t cap = fl->parked[i].capacity();
-        if (cap < n) continue;
-        if (best == fl->parked.size() ||
-            cap < fl->parked[best].capacity())
-          best = i;
-      }
-      if (best < fl->parked.size()) {
-        *dst = std::move(fl->parked[best]);
-        fl->parked[best] = std::move(fl->parked.back());
-        fl->parked.pop_back();
-        ++fl->stats.hits;
-        dst->assign(n, 0.0f);
-        return;
-      }
-      ++fl->stats.misses;
-    }
-  }
+  adopt_parked(dst, n);
   dst->assign(n, 0.0f);
 }
 
@@ -98,29 +98,7 @@ void tensor_pool_acquire(std::vector<float>* dst, std::size_t n) {
 /// tensor_pool_acquire).
 void tensor_pool_copy(std::vector<float>* dst, const std::vector<float>& src) {
   if (dst == &src) return;
-  const std::size_t n = src.size();
-  if (tensor_pool_enabled() && dst->capacity() < n) {
-    FreeList* fl = ensure_free_list();
-    if (fl != nullptr) {
-      std::size_t best = fl->parked.size();
-      for (std::size_t i = 0; i < fl->parked.size(); ++i) {
-        const std::size_t cap = fl->parked[i].capacity();
-        if (cap < n) continue;
-        if (best == fl->parked.size() ||
-            cap < fl->parked[best].capacity())
-          best = i;
-      }
-      if (best < fl->parked.size()) {
-        *dst = std::move(fl->parked[best]);
-        fl->parked[best] = std::move(fl->parked.back());
-        fl->parked.pop_back();
-        ++fl->stats.hits;
-        dst->assign(src.begin(), src.end());
-        return;
-      }
-      ++fl->stats.misses;
-    }
-  }
+  adopt_parked(dst, src.size());
   dst->assign(src.begin(), src.end());
 }
 

@@ -8,7 +8,7 @@
 //   {
 //     MMHAND_SPAN("radar/process_frame");
 //     obs::FrameScope frame("radar/process_frame");
-//     ...stages, parallel_for fan-outs...
+//     ...stages...
 //   }  // per-frame record emitted here
 //
 // A `FrameScope` allocates a process-unique 64-bit trace id, installs

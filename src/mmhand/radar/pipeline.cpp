@@ -7,7 +7,6 @@
 #include <numbers>
 #include <vector>
 
-#include "mmhand/common/parallel.hpp"
 #include "mmhand/common/realtime.hpp"
 #include "mmhand/dsp/butterworth.hpp"
 #include "mmhand/dsp/fft.hpp"
@@ -282,28 +281,17 @@ void RadarPipeline::process_frame_into(const IfFrame& frame,
 
   {
     // A is the frame itself: one row per (tx, rx, chirp), read in place
-    // as interleaved complex doubles.  Blocks of rows run on the pool;
-    // rows of a product are independent, so the split moves no bit.
+    // as interleaved complex doubles.
     MMHAND_SPAN("radar/range_fft");
     const double* x =
         reinterpret_cast<const double*>(frame.chirp_data(0, 0, 0));
-    constexpr std::size_t kRowsPerTask = 16;
-    const std::size_t rows = n_ch * n_chirp;
-    const auto tasks =
-        static_cast<std::int64_t>((rows + kRowsPerTask - 1) / kRowsPerTask);
-    parallel_for(0, tasks, 1, [&](std::int64_t task) {
-      const std::size_t first = static_cast<std::size_t>(task) * kRowsPerTask;
-      const double* a = x + first * 2 * n_samp;
-      kernels.cgemm({.a_re = a, .a_im = a + 1, .a_row = 2 * n_samp,
-                     .a_col = 2, .b_re = range_map_.re.data(),
-                     .b_im = range_map_.im.data(), .ldb = n_range,
-                     .c_re = rng_re + first * n_range,
-                     .c_im = rng_im + first * n_range, .ldc = n_range,
-                     .m = static_cast<int>(std::min(kRowsPerTask,
-                                                    rows - first)),
-                     .n = static_cast<int>(n_range),
-                     .k = static_cast<int>(n_samp)});
-    });
+    kernels.cgemm({.a_re = x, .a_im = x + 1, .a_row = 2 * n_samp,
+                   .a_col = 2, .b_re = range_map_.re.data(),
+                   .b_im = range_map_.im.data(), .ldb = n_range,
+                   .c_re = rng_re, .c_im = rng_im, .ldc = n_range,
+                   .m = static_cast<int>(n_ch * n_chirp),
+                   .n = static_cast<int>(n_range),
+                   .k = static_cast<int>(n_samp)});
   }
   {
     // One product per virtual channel: its TX's map times the channel's

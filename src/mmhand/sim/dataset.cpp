@@ -165,7 +165,7 @@ Recording DatasetBuilder::record(const ScenarioConfig& scenario) const {
       // Advance dynamic clutter to the next frame.
       for (auto& s : clutter) s.position += s.velocity * dt;
     }
-    parallel_for(0, block, 1, [&](std::int64_t i) {
+    parallel_for(0, block, [&](std::int64_t i) {
       rec.frames[rec_base + static_cast<std::size_t>(i)].cube =
           pipeline_.process_frame(if_frames[static_cast<std::size_t>(i)]);
     });

@@ -350,19 +350,22 @@ TEST(Serialize, MissingFileThrows) {
 
 TEST(ParallelFor, EmptyRangeCallsNothing) {
   std::atomic<int> calls{0};
-  parallel_for(5, 5, 1, [&](std::int64_t) { ++calls; });
-  parallel_for(7, 3, 1, [&](std::int64_t) { ++calls; });
+  parallel_for(5, 5, [&](std::int64_t) { ++calls; });
+  parallel_for(7, 3, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelFor, RangeSmallerThanGrainRunsSeriallyInOrder) {
+TEST(ParallelFor, OneIndexRangeRunsOnCaller) {
+  const int prev = num_threads();
+  set_num_threads(4);
   const auto caller = std::this_thread::get_id();
   std::vector<std::int64_t> seen;
-  parallel_for(2, 6, 100, [&](std::int64_t i) {
+  parallel_for(2, 3, [&](std::int64_t i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     seen.push_back(i);
   });
-  EXPECT_EQ(seen, (std::vector<std::int64_t>{2, 3, 4, 5}));
+  set_num_threads(prev);
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{2}));
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -370,7 +373,7 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   set_num_threads(4);
   constexpr int kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  parallel_for(0, kN, 7, [&](std::int64_t i) {
+  parallel_for(0, kN, [&](std::int64_t i) {
     ++hits[static_cast<std::size_t>(i)];
   });
   set_num_threads(prev);
@@ -380,7 +383,7 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 TEST(ParallelFor, WorkerExceptionPropagatesToCaller) {
   const int prev = num_threads();
   set_num_threads(4);
-  EXPECT_THROW(parallel_for(0, 64, 1,
+  EXPECT_THROW(parallel_for(0, 64,
                             [&](std::int64_t i) {
                               if (i == 13)
                                 throw std::runtime_error("boom 13");
@@ -394,10 +397,10 @@ TEST(ParallelFor, NestedCallsFallBackToSerial) {
   set_num_threads(4);
   std::atomic<int> inner_total{0};
   std::atomic<bool> saw_region_flag{true};
-  parallel_for(0, 8, 1, [&](std::int64_t) {
+  parallel_for(0, 8, [&](std::int64_t) {
     if (!in_parallel_region()) saw_region_flag = false;
     const auto inner_thread = std::this_thread::get_id();
-    parallel_for(0, 16, 1, [&](std::int64_t) {
+    parallel_for(0, 16, [&](std::int64_t) {
       // Serial fallback: the nested body stays on the outer worker.
       if (std::this_thread::get_id() != inner_thread) saw_region_flag = false;
       ++inner_total;
@@ -407,10 +410,6 @@ TEST(ParallelFor, NestedCallsFallBackToSerial) {
   EXPECT_TRUE(saw_region_flag.load());
   EXPECT_EQ(inner_total.load(), 8 * 16);
   EXPECT_FALSE(in_parallel_region());
-}
-
-TEST(ParallelFor, RejectsNonPositiveGrain) {
-  EXPECT_THROW(parallel_for(0, 4, 0, [](std::int64_t) {}), Error);
 }
 
 // ---------------------------------------------------------------------

@@ -155,7 +155,7 @@ TEST(ObsConcurrency, CounterFromParallelForIsExact) {
   c.reset();
   constexpr int kIters = 100000;
   with_threads(8, [&] {
-    parallel_for(0, kIters, 64, [&](std::int64_t) { c.add(1); });
+    parallel_for(0, kIters, [&](std::int64_t) { c.add(1); });
     return 0;
   });
   EXPECT_EQ(c.value(), kIters);
@@ -167,7 +167,7 @@ TEST(ObsConcurrency, SpansFromParallelForAreAllRecorded) {
   h.reset();
   constexpr int kIters = 5000;
   with_threads(8, [&] {
-    parallel_for(0, kIters, 16, [&](std::int64_t) { h.record(3.0); });
+    parallel_for(0, kIters, [&](std::int64_t) { h.record(3.0); });
     return 0;
   });
   const obs::HistogramStats s = h.stats();
@@ -178,7 +178,7 @@ TEST(ObsConcurrency, SpansFromParallelForAreAllRecorded) {
 TEST(ObsConcurrency, HistogramHammeredFromEightRawThreadsStaysExact) {
   // The telemetry sampler reads histograms while worker threads record
   // into them; this is the TSan target for that pairing.  Eight raw
-  // threads (not the pool, so there is no grain-level serialization)
+  // threads (not the pool, which serializes whole regions)
   // each record a distinct value 10000 times while the main thread
   // concurrently snapshots stats.  Count and sum must come out exact —
   // every per-value sum here is integral, so floating-point accumulation
@@ -223,8 +223,7 @@ TEST(ObsConcurrency, SpanSitesFromEightThreadsCount) {
   h.reset();
   constexpr int kIters = 2000;
   with_threads(8, [&] {
-    parallel_for(0, kIters, 16,
-                 [&](std::int64_t) { obs::Span span(site); });
+    parallel_for(0, kIters, [&](std::int64_t) { obs::Span span(site); });
     return 0;
   });
   EXPECT_EQ(h.stats().count, static_cast<std::uint64_t>(kIters));
@@ -294,8 +293,7 @@ TEST(ObsTrace, WritesValidChromeTraceJson) {
     MMHAND_SPAN("test/inner");
   }
   with_threads(4, [&] {
-    parallel_for(0, 64, 1,
-                 [&](std::int64_t) { MMHAND_SPAN("test/pooled"); });
+    parallel_for(0, 64, [&](std::int64_t) { MMHAND_SPAN("test/pooled"); });
     return 0;
   });
   obs::set_tracing_enabled(false);

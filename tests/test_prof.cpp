@@ -19,6 +19,7 @@
 #include "mmhand/common/json.hpp"
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/common/rng.hpp"
+#include "mmhand/nn/conv2d.hpp"
 #include "mmhand/obs/obs.hpp"
 #include "mmhand/radar/antenna_array.hpp"
 #include "mmhand/radar/chirp_config.hpp"
@@ -130,7 +131,15 @@ TEST(FrameTrace, FlowEventsLinkWorkerSpansAtFourThreads) {
   ObsGuard guard;
   obs::clear_trace();
   obs::set_tracing_enabled(true);
-  with_threads(4, run_process_frame);
+  // A window-sized conv batch under one frame scope, as serve/batch runs
+  // it: the per-sample fan-out puts conv work on pool workers.
+  with_threads(4, [] {
+    Rng rng(3);
+    nn::Conv2d conv(3, 8, 3, 1, 1, rng);
+    const nn::Tensor x = nn::Tensor::randn({8, 3, 16, 16}, rng, 1.0);
+    obs::FrameScope frame("test/conv_batch");
+    return conv.forward(x, /*training=*/false).vec();
+  });
   obs::set_tracing_enabled(false);
 
   const std::string path = temp_path("flow_trace.json");
@@ -174,8 +183,8 @@ TEST(FrameTrace, FlowEventsLinkWorkerSpansAtFourThreads) {
       ++tagged;
   }
   ASSERT_FALSE(sources.empty()) << "no flow anchors recorded";
-  // 4-thread parallel_for fans the radar stages out, so at least one
-  // worker span must have bound back to a frame.
+  // The 4-thread per-sample fan-out runs samples on workers, so at least
+  // one worker span must have bound back to the frame.
   ASSERT_FALSE(bindings.empty()) << "no cross-thread flow bindings";
   EXPECT_GT(tagged, 0u);
   for (const Binding& b : bindings) {
