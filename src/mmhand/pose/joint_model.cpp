@@ -89,24 +89,41 @@ HandJointRegressor::HandJointRegressor(const PoseNetConfig& config, Rng& rng)
 MMHAND_REALTIME
 nn::Tensor HandJointRegressor::forward(const nn::Tensor& x, bool training) {
   const int frames = config_.frames_per_sample();
-  const int segments = config_.sequence_segments;
-  MMHAND_CHECK(x.rank() == 4 && x.dim(0) % frames == 0 &&
-                   x.dim(1) == config_.velocity_bins &&
-                   x.dim(2) == config_.range_bins &&
-                   x.dim(3) == config_.angle_bins,
+  MMHAND_CHECK(x.rank() == 4 && x.dim(0) % frames == 0,
                "pose input shape mismatch");
   const int batch = x.dim(0) / frames;
   MMHAND_CHECK(!training || batch == 1,
                "pose training takes one sample, got " << batch);
-  // Spatial features for every frame of every sample in one conv-trunk
-  // pass: frames are independent through mmSpaceNet (per-frame attention
-  // pooling, per-sample conv batch loop), so the stacked pass equals
-  // per-sample passes bitwise.
-  nn::Tensor feat = spacenet_.forward(x, training);
+  return forward_from_features(frame_features(x, training), batch, training);
+}
+
+MMHAND_REALTIME
+nn::Tensor HandJointRegressor::frame_features(const nn::Tensor& frames,
+                                              bool training) {
+  MMHAND_CHECK(frames.rank() == 4 && frames.dim(1) == config_.velocity_bins &&
+                   frames.dim(2) == config_.range_bins &&
+                   frames.dim(3) == config_.angle_bins,
+               "pose input shape mismatch");
+  // Frames are independent through mmSpaceNet (per-frame attention
+  // pooling, per-sample conv batch loop), so a frame's features are
+  // bitwise the same whichever frames share its pass.
+  return spacenet_.forward(frames, training);
+}
+
+MMHAND_REALTIME
+nn::Tensor HandJointRegressor::forward_from_features(nn::Tensor features,
+                                                     int batch,
+                                                     bool training) {
+  const int segments = config_.sequence_segments;
+  MMHAND_CHECK(batch >= 1 && features.numel() ==
+                                 static_cast<std::size_t>(batch) *
+                                     static_cast<std::size_t>(segments) *
+                                     static_cast<std::size_t>(flat_features_),
+               "features do not hold " << batch << " samples");
   // Group frames into segments: [B*S, st * C2 * H' * W'].  The projection
   // and head treat rows independently.
-  feat.reshape({batch * segments, flat_features_});
-  nn::Tensor seg = segment_fc_.forward(feat, training);
+  features.reshape({batch * segments, flat_features_});
+  nn::Tensor seg = segment_fc_.forward(features, training);
   seg = segment_act_.forward(seg, training);
   // Temporal features over each sample's segment sequence (identity under
   // the no-temporal ablation): [B*S, feat] -> B sequences [B, S, feat] and

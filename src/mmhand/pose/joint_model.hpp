@@ -54,6 +54,26 @@ class HandJointRegressor {
   /// serving layer's drained-parity guarantee).  training takes B = 1.
   nn::Tensor forward(const nn::Tensor& x, bool training);
 
+  /// The two halves of forward(): forward(x, t) is
+  /// forward_from_features(frame_features(x, t), B, t).
+  ///
+  /// frame_features: mmSpaceNet over any number N of independent
+  /// [N, V, D, A] frames -> [N, C2, D/4, A/4].  Each frame's rows are
+  /// bitwise the same whatever other frames share the pass, so a server
+  /// can compute them one frame at a time as frames arrive.
+  nn::Tensor frame_features(const nn::Tensor& frames, bool training = false);
+
+  /// The rest of the network over `batch` samples' stacked frame
+  /// features (frame_features rows, sample-major): segment projection,
+  /// temporal layer, head.  Returns [B*S, 63].
+  nn::Tensor forward_from_features(nn::Tensor features, int batch,
+                                   bool training = false);
+
+  /// Floats of one frame's features (C2 * D/4 * A/4).
+  int frame_feature_numel() const {
+    return flat_features_ / config_.segment_frames;
+  }
+
   /// Inference over `batch` stacked samples: forward(x, false) after
   /// checking that x holds exactly `batch` of them.
   nn::Tensor forward_batch(const nn::Tensor& x, int batch);

@@ -69,7 +69,8 @@ Server::Server(const ServeConfig& config, pose::HandJointRegressor& model,
       frames_per_window_(model.config().frames_per_sample()),
       frame_elems_(static_cast<std::size_t>(model.config().velocity_bins) *
                    static_cast<std::size_t>(model.config().range_bins) *
-                   static_cast<std::size_t>(model.config().angle_bins)) {
+                   static_cast<std::size_t>(model.config().angle_bins)),
+      feature_elems_(static_cast<std::size_t>(model.frame_feature_numel())) {
   // Serving mode is steady-state by definition: with the tensor pool
   // on, every per-batch activation tensor recycles a parked buffer, so
   // the batched NN step settles to zero allocations (gated by
@@ -109,10 +110,7 @@ JoinResult Server::join() {
   }
   auto session = std::make_unique<Session>();
   session->id = next_id_++;
-  session->window = nn::Tensor({frames_per_window_,
-                                model_.config().velocity_bins,
-                                model_.config().range_bins,
-                                model_.config().angle_bins});
+  session->store = take_store_locked();
   const SessionId id = session->id;
   sessions_.emplace(id, std::move(session));
   ++stats_.sessions_admitted;
@@ -128,11 +126,16 @@ void Server::leave(SessionId id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   // Abandon the session's queued windows: nobody is left to poll them.
+  // A feature pass still running for the session finds nothing to
+  // attach to and drops its rows.
+  for (ReadyWindow& w : ready_)
+    if (w.session == id) recycle_locked(std::move(w.store));
   ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
                               [id](const ReadyWindow& w) {
                                 return w.session == id;
                               }),
                ready_.end());
+  recycle_locked(std::move(it->second->store));
   sessions_.erase(it);
   ++stats_.sessions_left;
   if (obs::metrics_enabled())
@@ -173,6 +176,7 @@ void Server::shed_ready_locked(std::size_t index, bool degraded) {
     ++stats_.degraded_drops;
     if (obs::metrics_enabled()) counters().degraded.add(1);
   }
+  recycle_locked(std::move(w.store));
   WindowResult r;
   r.seq = w.seq;
   r.disposition = Disposition::kShed;
@@ -180,6 +184,27 @@ void Server::shed_ready_locked(std::size_t index, bool degraded) {
   r.first_frame = w.first_frame;
   r.last_frame = w.last_frame;
   resolve_locked(s, std::move(r));
+}
+
+Server::WindowStore Server::take_store_locked() {
+  if (!free_stores_.empty()) {
+    WindowStore store = std::move(free_stores_.back());
+    free_stores_.pop_back();
+    return store;
+  }
+  WindowStore store;
+  store.frames.resize(static_cast<std::size_t>(frames_per_window_) *
+                      frame_elems_);
+  store.features.resize(static_cast<std::size_t>(frames_per_window_) *
+                        feature_elems_);
+  return store;
+}
+
+void Server::recycle_locked(WindowStore store) {
+  // Every store is held by a session, a queued or running window, or
+  // this list, so the list never outgrows the most ever in use.
+  store.featured = 0;
+  free_stores_.push_back(std::move(store));
 }
 
 SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
@@ -201,21 +226,26 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
 
   if (s.frames_filled == 0) s.first_frame = s.next_frame;
   write_cube_frame(cube, model_.config(),
-                   s.window.data() +
+                   s.store.frames.data() +
                        static_cast<std::size_t>(s.frames_filled) *
                            frame_elems_);
   ++s.frames_filled;
   ++s.next_frame;
   ++stats_.frames_accepted;
-  if (!completes) return {true, false, 0.0};
+  if (!completes) {
+    work_cv_.notify_one();  // a frame for the feature pass
+    return {true, false, 0.0};
+  }
 
   // A full window.  Under the kPoseOnly tier every other window per
-  // session is shed before it ever queues (half window density).
+  // session is shed before it ever queues (half window density); the
+  // session refills the same storage, cached features dropped.
   s.frames_filled = 0;
   const std::uint64_t seq = s.next_seq++;
   if (tier_ == Tier::kPoseOnly) {
     s.drop_toggle = !s.drop_toggle;
     if (s.drop_toggle) {
+      s.store.featured = 0;
       ++stats_.degraded_drops;
       if (obs::metrics_enabled()) counters().degraded.add(1);
       WindowResult r;
@@ -252,7 +282,8 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
       w.ready_ns + static_cast<std::uint64_t>(config_.deadline_ms * 1e6);
   w.first_frame = s.first_frame;
   w.last_frame = s.next_frame - 1;
-  w.input = s.window;
+  w.store = std::move(s.store);
+  s.store = take_store_locked();
   ready_.push_back(std::move(w));
   ++s.queued;
   stats_.max_ready_depth =
@@ -312,6 +343,7 @@ int Server::expire_deadlines_locked(std::uint64_t now) {
     auto it = sessions_.find(w.session);
     Session* s = it == sessions_.end() ? nullptr : it->second.get();
     if (s != nullptr) --s->queued;
+    recycle_locked(std::move(w.store));
     WindowResult r;
     r.seq = w.seq;
     r.disposition = Disposition::kDeadlineMissed;
@@ -325,10 +357,76 @@ int Server::expire_deadlines_locked(std::uint64_t now) {
   return expired;
 }
 
+bool Server::features_pending_locked() const {
+  for (const auto& entry : sessions_)
+    if (entry.second->store.featured < entry.second->frames_filled)
+      return true;
+  return false;
+}
+
+nn::Tensor Server::claim_features_locked() {
+  // One window's worth of frames at most, so a window that completes
+  // meanwhile waits at most one window's mmSpaceNet.
+  claims_.clear();
+  int total = 0;
+  for (const auto& entry : sessions_) {
+    const Session& s = *entry.second;
+    const int count = std::min(s.frames_filled - s.store.featured,
+                               frames_per_window_ - total);
+    if (count <= 0) continue;
+    claims_.push_back({s.id, s.next_seq, s.store.featured, count});
+    total += count;
+    if (total == frames_per_window_) break;
+  }
+  if (total == 0) return {};
+  const auto& pc = model_.config();
+  nn::Tensor frames({total, pc.velocity_bins, pc.range_bins, pc.angle_bins});
+  float* dst = frames.data();
+  for (const FeatureClaim& c : claims_) {
+    WindowStore& store = sessions_.find(c.session)->second->store;
+    const float* src =
+        store.frames.data() + static_cast<std::size_t>(c.first) * frame_elems_;
+    const std::size_t n = static_cast<std::size_t>(c.count) * frame_elems_;
+    std::copy(src, src + n, dst);
+    dst += n;
+    store.featured += c.count;
+  }
+  stats_.frames_featured_early += static_cast<std::uint64_t>(total);
+  return frames;
+}
+
+void Server::attach_features_locked(const nn::Tensor& features) {
+  const float* src = features.data();
+  for (const FeatureClaim& c : claims_) {
+    const std::size_t n = static_cast<std::size_t>(c.count) * feature_elems_;
+    const float* rows = src;
+    src += n;
+    auto it = sessions_.find(c.session);
+    if (it == sessions_.end()) continue;  // the session left
+    WindowStore* store = nullptr;
+    if (it->second->next_seq == c.seq) {
+      store = &it->second->store;
+    } else {
+      // The window completed while its frames were in the pass.  It is
+      // still queued unless it was shed, expired or dropped by kPoseOnly.
+      for (auto w = ready_.rbegin(); w != ready_.rend(); ++w)
+        if (w->session == c.session && w->seq == c.seq) {
+          store = &w->store;
+          stats_.frames_attached_late += static_cast<std::uint64_t>(c.count);
+          break;
+        }
+      if (store == nullptr) continue;
+    }
+    std::copy(rows, rows + n,
+              store->features.data() +
+                  static_cast<std::size_t>(c.first) * feature_elems_);
+  }
+}
+
 int Server::step() {
-  std::vector<ReadyWindow> batch;
   Tier batch_tier = Tier::kFull;
   int resolved = 0;
+  nn::Tensor frames;  // staged frames of a feature pass
   {
     std::lock_guard<std::mutex> lk(mu_);
     const std::uint64_t now = now_ns();
@@ -336,86 +434,123 @@ int Server::step() {
     resolved += expire_deadlines_locked(now);
     const int take = std::min<int>(config_.batch_max,
                                    static_cast<int>(ready_.size()));
-    batch.reserve(static_cast<std::size_t>(take));
+    batch_.clear();
     for (int i = 0; i < take; ++i) {
       ReadyWindow w = std::move(ready_.front());
       ready_.pop_front();
       auto it = sessions_.find(w.session);
       if (it != sessions_.end()) --it->second->queued;
-      batch.push_back(std::move(w));
+      batch_.push_back(std::move(w));
     }
-    inflight_ += static_cast<int>(batch.size());
+    inflight_ += static_cast<int>(batch_.size());
     batch_tier = tier_;
+    if (batch_.empty()) frames = claim_features_locked();
   }
-  if (batch.empty()) {
-    if (resolved > 0) drain_cv_.notify_all();
-    return resolved;
+  if (!batch_.empty()) {
+    resolved += run_batch(batch_tier);
+  } else if (!frames.empty()) {
+    // Idle time: features of frames in still-filling windows.
+    nn::Tensor features;
+    {
+      obs::FrameScope frame("serve/frame_features");
+      MMHAND_SPAN("serve/frame_features");
+      features = model_.frame_features(frames);
+    }
+    std::lock_guard<std::mutex> lk(mu_);
+    attach_features_locked(features);
   }
+  if (resolved > 0) drain_cv_.notify_all();
+  return resolved;
+}
 
-  // The batched NN step runs outside the lock: submissions keep landing
-  // while the model executes.
-  const int b_count = static_cast<int>(batch.size());
+int Server::run_batch(Tier batch_tier) {
+  // The NN step runs outside the lock: submissions keep landing while
+  // the model executes.  batch_ and results_ are the scheduler's own.
+  const int b_count = static_cast<int>(batch_.size());
   const auto& pc = model_.config();
   const int segments = pc.sequence_segments;
-  nn::Tensor out;
-  std::vector<mesh::ReconstructionResult> meshes(
-      static_cast<std::size_t>(b_count));
-  std::vector<char> mesh_done(static_cast<std::size_t>(b_count), 0);
+  const bool with_mesh = batch_tier == Tier::kFull && options_.mesh != nullptr;
+  results_.clear();
+  results_.resize(batch_.size());
+  int missing = 0;
   {
     obs::FrameScope frame("serve/batch");
     MMHAND_SPAN("serve/forward_batch");
-    nn::Tensor input({b_count * frames_per_window_, pc.velocity_bins,
-                      pc.range_bins, pc.angle_bins});
-    const std::size_t window_floats =
-        static_cast<std::size_t>(frames_per_window_) * frame_elems_;
-    for (int b = 0; b < b_count; ++b)
-      std::copy(batch[static_cast<std::size_t>(b)].input.data(),
-                batch[static_cast<std::size_t>(b)].input.data() +
-                    window_floats,
-                input.data() + static_cast<std::size_t>(b) * window_floats);
-    out = model_.forward_batch(input, b_count);
-    if (batch_tier == Tier::kFull && options_.mesh != nullptr) {
-      MMHAND_SPAN("serve/mesh");
-      for (int b = 0; b < b_count; ++b) {
-        meshes[static_cast<std::size_t>(b)] = options_.mesh->reconstruct(
-            pose::row_to_joints(out, (b + 1) * segments - 1));
-        mesh_done[static_cast<std::size_t>(b)] = 1;
+    // mmSpaceNet over the frames without cached features: usually each
+    // window's last frame only.
+    for (const ReadyWindow& w : batch_)
+      missing += frames_per_window_ - w.store.featured;
+    if (missing > 0) {
+      nn::Tensor frames(
+          {missing, pc.velocity_bins, pc.range_bins, pc.angle_bins});
+      float* dst = frames.data();
+      for (const ReadyWindow& w : batch_) {
+        const std::vector<float>& v = w.store.frames;
+        const std::size_t first =
+            static_cast<std::size_t>(w.store.featured) * frame_elems_;
+        dst = std::copy(v.data() + first, v.data() + v.size(), dst);
       }
+      const nn::Tensor fresh = model_.frame_features(frames);
+      const float* src = fresh.data();
+      for (ReadyWindow& w : batch_) {
+        std::vector<float>& v = w.store.features;
+        const std::size_t first =
+            static_cast<std::size_t>(w.store.featured) * feature_elems_;
+        std::copy(src, src + (v.size() - first), v.data() + first);
+        src += v.size() - first;
+        w.store.featured = frames_per_window_;
+      }
+    }
+    nn::Tensor features({b_count * frames_per_window_,
+                         static_cast<int>(feature_elems_)});
+    float* dst = features.data();
+    for (const ReadyWindow& w : batch_)
+      dst = std::copy(w.store.features.begin(), w.store.features.end(), dst);
+    const nn::Tensor out =
+        model_.forward_from_features(std::move(features), b_count);
+    // The pose leaves for the polling thread, so it takes an exact-size
+    // heap buffer, not one from the scheduler's tensor pool: the pool
+    // hands out the smallest parked buffer that fits, often a whole
+    // activation, which would then park on the poller's list.
+    const std::size_t pose_floats = static_cast<std::size_t>(segments) * 63;
+    for (std::size_t b = 0; b < results_.size(); ++b) {
+      const float* rows = out.data() + b * pose_floats;
+      results_[b].pose = nn::Tensor::from_vector(
+          {segments, 63}, std::vector<float>(rows, rows + pose_floats));
+    }
+    if (with_mesh) {
+      MMHAND_SPAN("serve/mesh");
+      for (int b = 0; b < b_count; ++b)
+        results_[static_cast<std::size_t>(b)].mesh =
+            options_.mesh->reconstruct(
+                pose::row_to_joints(out, (b + 1) * segments - 1));
     }
   }
 
   const std::uint64_t done = now_ns();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (int b = 0; b < b_count; ++b) {
-      ReadyWindow& w = batch[static_cast<std::size_t>(b)];
-      WindowResult r;
-      r.seq = w.seq;
-      r.disposition = done > w.deadline_ns ? Disposition::kDeadlineMissed
-                                           : Disposition::kCompleted;
-      r.tier = batch_tier;
-      nn::Tensor pose({segments, 63});
-      std::copy(out.data() + static_cast<std::size_t>(b) * segments * 63,
-                out.data() +
-                    static_cast<std::size_t>(b + 1) * segments * 63,
-                pose.data());
-      r.pose = std::move(pose);
-      r.mesh_done = mesh_done[static_cast<std::size_t>(b)] != 0;
-      if (r.mesh_done) r.mesh = std::move(meshes[static_cast<std::size_t>(b)]);
-      r.e2e_ms = static_cast<double>(done - w.ready_ns) / 1e6;
-      r.first_frame = w.first_frame;
-      r.last_frame = w.last_frame;
-      auto it = sessions_.find(w.session);
-      resolve_locked(it == sessions_.end() ? nullptr : it->second.get(),
-                     std::move(r));
-    }
-    inflight_ -= b_count;
-    ++stats_.batches;
-    if (obs::metrics_enabled()) counters().batches.add(1);
-    resolved += b_count;
+  std::lock_guard<std::mutex> lk(mu_);
+  for (std::size_t b = 0; b < batch_.size(); ++b) {
+    ReadyWindow& w = batch_[b];
+    recycle_locked(std::move(w.store));
+    WindowResult& r = results_[b];
+    r.seq = w.seq;
+    r.disposition = done > w.deadline_ns ? Disposition::kDeadlineMissed
+                                         : Disposition::kCompleted;
+    r.tier = batch_tier;
+    r.mesh_done = with_mesh;
+    r.e2e_ms = static_cast<double>(done - w.ready_ns) / 1e6;
+    r.first_frame = w.first_frame;
+    r.last_frame = w.last_frame;
+    auto it = sessions_.find(w.session);
+    resolve_locked(it == sessions_.end() ? nullptr : it->second.get(),
+                   std::move(r));
   }
-  drain_cv_.notify_all();
-  return resolved;
+  batch_.clear();
+  inflight_ -= b_count;
+  ++stats_.batches;
+  stats_.frames_featured_in_batch += static_cast<std::uint64_t>(missing);
+  if (obs::metrics_enabled()) counters().batches.add(1);
+  return b_count;
 }
 
 void Server::drain() {
@@ -438,7 +573,7 @@ void Server::scheduler_loop() {
     step();
     std::unique_lock<std::mutex> lk(mu_);
     if (stop_) break;
-    if (ready_.empty())
+    if (ready_.empty() && !features_pending_locked())
       work_cv_.wait_for(lk, std::chrono::microseconds(200));
   }
 }

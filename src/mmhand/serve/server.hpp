@@ -28,10 +28,20 @@
 // sessions (one global FIFO), so no session can be starved while the
 // server makes progress.
 //
-// Threading: one mutex guards all queue state; the batched NN step
-// runs outside the lock (only the scheduler executes it).  With
-// Options.manual_step the server runs no thread and tests drive
-// `step()` with an injected clock for full determinism.
+// Per-frame feature cache: mmSpaceNet sees each frame on its own, so
+// while no window is ready the scheduler computes the spatial features
+// of frames that have arrived in still-filling windows
+// (`HandJointRegressor::frame_features`).  A completed window then runs
+// mmSpaceNet only over its frames without features (usually the last
+// one) before the segment/LSTM head and the mesh.  A frame's features
+// are bitwise the same in any pass, so results do not change.
+//
+// Threading: one mutex guards all queue state; the NN work runs
+// outside the lock (only the scheduler executes it).  A window's frame
+// and feature storage moves, never copies, from its session to the
+// ready queue to the scheduler, and recycles through a free list under
+// the same mutex.  With Options.manual_step the server runs no thread
+// and tests drive `step()` with an injected clock for full determinism.
 
 #include <cstdint>
 #include <deque>
@@ -97,6 +107,14 @@ struct ServerStats {
   std::uint64_t degraded_drops = 0;     ///< shed by the kPoseOnly tier
   std::uint64_t batches = 0;
   std::uint64_t max_ready_depth = 0;    ///< high-water mark (bound proof)
+  /// Frames whose mmSpaceNet features an idle-time pass computed.
+  std::uint64_t frames_featured_early = 0;
+  /// Frames whose features a batch step computed (a window's missing
+  /// frames when it runs).
+  std::uint64_t frames_featured_in_batch = 0;
+  /// Early frames whose window became ready while their pass ran; their
+  /// features were attached to the queued window.
+  std::uint64_t frames_attached_late = 0;
   int live_sessions = 0;
   int ready_depth = 0;
   int inflight = 0;
@@ -145,9 +163,14 @@ class Server {
   std::size_t poll(SessionId id, std::vector<WindowResult>* out);
 
   /// One scheduler pass: expire deadlines, run the tier state machine,
-  /// dispatch one batched NN step.  Returns the number of windows
-  /// resolved.  Called internally by the scheduler thread; call it
-  /// directly only with Options.manual_step.
+  /// then do one unit of NN work.  Ready windows take priority: up to
+  /// batch_max of them run as one batch (mmSpaceNet over their frames
+  /// without cached features, then the segment/LSTM head and the mesh).
+  /// With no window ready, the pass instead computes the features of up
+  /// to one window's worth of frames that arrived in still-filling
+  /// windows, across sessions, and caches them.  Returns the number of
+  /// windows resolved (0 for a feature pass).  Called internally by the
+  /// scheduler thread; call it directly only with Options.manual_step.
   int step();
 
   /// Blocks until every queued and inflight window is resolved.  In
@@ -159,6 +182,17 @@ class Server {
   const ServeConfig& config() const { return config_; }
 
  private:
+  /// One window's frame storage and the features computed so far.
+  /// Plain vectors rather than pooled tensors: the storage moves from
+  /// the submitting thread's session to the scheduler, so it recycles
+  /// through the server's free list, not a thread-local tensor pool.
+  struct WindowStore {
+    std::vector<float> frames;    ///< [S*st, V, D, A] normalized frames
+    std::vector<float> features;  ///< [S*st, frame_feature_numel]
+    int featured = 0;  ///< leading frames whose features are set or
+                       ///< claimed by the running feature pass
+  };
+
   struct ReadyWindow {
     SessionId session = 0;
     std::uint64_t seq = 0;
@@ -166,7 +200,7 @@ class Server {
     std::uint64_t deadline_ns = 0;
     int first_frame = 0;
     int last_frame = 0;
-    nn::Tensor input;  ///< [S*st, V, D, A]
+    WindowStore store;  ///< moved from the session, never copied
   };
 
   struct Session {
@@ -174,11 +208,20 @@ class Server {
     int frames_filled = 0;       ///< partial-window fill level
     int first_frame = 0;         ///< recording index of the fill start
     int next_frame = 0;          ///< frames submitted so far
-    std::uint64_t next_seq = 0;
+    std::uint64_t next_seq = 0;  ///< seq of the filling window
     int queued = 0;              ///< this session's ready-queue share
     bool drop_toggle = false;    ///< kPoseOnly half-density alternator
-    nn::Tensor window;           ///< fill buffer [S*st, V, D, A]
+    WindowStore store;           ///< the filling window
     std::vector<WindowResult> delivered;
+  };
+
+  /// Frames [first, first + count) of window `seq` of `session`, staged
+  /// into the running feature pass.
+  struct FeatureClaim {
+    SessionId session = 0;
+    std::uint64_t seq = 0;
+    int first = 0;
+    int count = 0;
   };
 
   std::uint64_t now_ns() const;
@@ -188,12 +231,19 @@ class Server {
   void shed_ready_locked(std::size_t index, bool degraded);
   void scheduler_loop();
   int expire_deadlines_locked(std::uint64_t now);
+  WindowStore take_store_locked();
+  void recycle_locked(WindowStore store);
+  bool features_pending_locked() const;
+  nn::Tensor claim_features_locked();
+  void attach_features_locked(const nn::Tensor& features);
+  int run_batch(Tier tier);
 
   const ServeConfig config_;
   pose::HandJointRegressor& model_;
   const Options options_;
   const int frames_per_window_;
   const std::size_t frame_elems_;
+  const std::size_t feature_elems_;  ///< floats of one frame's features
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;    ///< signals the scheduler
@@ -207,6 +257,12 @@ class Server {
   int hi_streak_ = 0;
   int lo_streak_ = 0;
   ServerStats stats_;
+  std::vector<WindowStore> free_stores_;  ///< recycled window storage
+
+  // Scheduler-only scratch (the step() caller owns it; capacity kept).
+  std::vector<ReadyWindow> batch_;
+  std::vector<WindowResult> results_;  ///< batch_'s, built before the lock
+  std::vector<FeatureClaim> claims_;
 
   std::thread scheduler_;  ///< absent under Options.manual_step
 };

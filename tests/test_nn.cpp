@@ -1008,6 +1008,82 @@ TEST_F(NnGolden, Avx2ForwardBatchHashUnchanged) {
   EXPECT_EQ(golden_forward_hash(), 0x6851587a78868e97ull);
 }
 
+// ---- The forward's two halves: per-frame features, then the head.
+
+/// Frames [first, first + count) of `x` as their own tensor.
+Tensor frame_slice(const Tensor& x, int first, int count) {
+  Tensor out({count, x.dim(1), x.dim(2), x.dim(3)});
+  const std::size_t per = x.numel() / static_cast<std::size_t>(x.dim(0));
+  std::copy(x.data() + static_cast<std::size_t>(first) * per,
+            x.data() + static_cast<std::size_t>(first + count) * per,
+            out.data());
+  return out;
+}
+
+using ForwardSplit = GemmPerIsa;
+
+TEST_F(ForwardSplit, FrameFeaturesAreIndependentOfFrameGrouping) {
+  // A server computes a window's features a frame at a time as frames
+  // arrive; each frame's rows must equal the stacked pass over two
+  // paper-config windows, whatever the grouping.
+  const pose::PoseNetConfig cfg = eval::ProtocolConfig::standard().posenet;
+  const int frames = cfg.frames_per_sample();
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    Rng rng(51);
+    pose::HandJointRegressor model(cfg, rng);
+    Rng xrng(52);
+    const Tensor x = random_tensor(
+        {2 * frames, cfg.velocity_bins, cfg.range_bins, cfg.angle_bins},
+        xrng);
+    const Tensor stacked = model.frame_features(x);
+    ASSERT_EQ(stacked.dim(0), 2 * frames);
+    const auto per = static_cast<std::size_t>(model.frame_feature_numel());
+    ASSERT_EQ(stacked.numel(), static_cast<std::size_t>(2 * frames) * per);
+    const std::vector<std::vector<int>> groupings = {
+        std::vector<int>(static_cast<std::size_t>(frames), 1),
+        {3, frames - 3},
+        {frames}};
+    for (const auto& groups : groupings) {
+      int first = 0;
+      for (const int count : groups) {
+        const Tensor part = model.frame_features(frame_slice(x, first, count));
+        ASSERT_EQ(part.numel(), static_cast<std::size_t>(count) * per);
+        for (std::size_t i = 0; i < part.numel(); ++i)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(part[i]),
+                    std::bit_cast<std::uint32_t>(
+                        stacked[static_cast<std::size_t>(first) * per + i]))
+              << simd::isa_name(isa) << " frames " << first << "+" << count
+              << " element " << i;
+        first += count;
+      }
+      ASSERT_EQ(first, frames);
+    }
+  }
+}
+
+TEST_F(ForwardSplit, HalvesComposeToForwardBatchBitwise) {
+  const pose::PoseNetConfig cfg = eval::ProtocolConfig::standard().posenet;
+  for (simd::Isa isa : gemm_isas()) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    Rng rng(53);
+    pose::HandJointRegressor model(cfg, rng);
+    for (const int batch : {1, 3}) {
+      Rng xrng(54);
+      const Tensor x = random_tensor(
+          {batch * cfg.frames_per_sample(), cfg.velocity_bins,
+           cfg.range_bins, cfg.angle_bins},
+          xrng);
+      const Tensor whole = model.forward_batch(x, batch);
+      const Tensor split =
+          model.forward_from_features(model.frame_features(x), batch);
+      ASSERT_TRUE(whole.same_shape(split));
+      EXPECT_EQ(bits(whole.vec()), bits(split.vec()))
+          << simd::isa_name(isa) << " batch " << batch;
+    }
+  }
+}
+
 // ---- Training golden: the bits of one forward(training) + backward.
 
 /// Hash of every parameter gradient of a fixed-seed tiny regressor after

@@ -24,6 +24,8 @@
 #include "mmhand/radar/chirp_config.hpp"
 #include "mmhand/radar/if_simulator.hpp"
 #include "mmhand/radar/pipeline.hpp"
+#include "mmhand/serve/server.hpp"
+#include "mmhand/sim/dataset.hpp"
 
 namespace mmhand {
 namespace {
@@ -375,6 +377,51 @@ std::vector<float> run_conv() {
   return conv.forward(x, /*training=*/false).vec();
 }
 
+/// One served window whose first frames' features a feature pass
+/// cached (under its serve/frame_features frame scope) before the window
+/// completed; returns the delivered pose.
+std::vector<float> run_served_window() {
+  radar::ChirpConfig chirp;
+  chirp.chirps_per_frame = 4;
+  chirp.samples_per_chirp = 16;
+  radar::PipelineConfig pc;
+  pc.cube.range_bins = 8;
+  pc.cube.azimuth_bins = 6;
+  pc.cube.elevation_bins = 2;
+  sim::ScenarioConfig scenario;
+  scenario.duration_s = 4 * chirp.frame_period_s;
+  const sim::Recording recording =
+      sim::DatasetBuilder(chirp, pc).record(scenario);
+  pose::PoseNetConfig net;
+  net.segment_frames = 2;
+  net.sequence_segments = 2;
+  net.velocity_bins = 4;
+  net.range_bins = 8;
+  net.angle_bins = 8;
+  net.feature_dim = 24;
+  net.lstm_hidden = 16;
+  net.spacenet.stem_channels = 4;
+  net.spacenet.block1_channels = 6;
+  net.spacenet.block2_channels = 6;
+  Rng rng(11);
+  pose::HandJointRegressor model(net, rng);
+  serve::Server::Options opts;
+  opts.manual_step = true;
+  serve::Server server(serve::ServeConfig{}, model, opts);
+  const auto id = server.join().id;
+  const int frames = net.frames_per_sample();
+  for (int f = 0; f < frames; ++f) {
+    server.submit(id, recording.frames[static_cast<std::size_t>(f)].cube);
+    if (f < frames - 1) server.step();  // caches the frame's features
+  }
+  server.drain();
+  std::vector<serve::WindowResult> results;
+  server.poll(id, &results);
+  EXPECT_EQ(results.size(), 1u);
+  EXPECT_EQ(server.stats().frames_featured_in_batch, 1u);
+  return results.empty() ? std::vector<float>{} : results[0].pose.vec();
+}
+
 template <typename Fn>
 auto with_obs(bool on, Fn&& fn) {
   obs::set_tracing_enabled(on);
@@ -405,6 +452,17 @@ TEST(ObsDeterminism, Conv2dBitwiseEqualWithTracingOnOff) {
         with_threads(threads, [&] { return with_obs(false, run_conv); });
     const auto traced =
         with_threads(threads, [&] { return with_obs(true, run_conv); });
+    EXPECT_EQ(plain, traced) << "at " << threads << " threads";
+  }
+}
+
+TEST(ObsDeterminism, ServedWindowWithCachedFeaturesBitwiseEqualOnOff) {
+  for (const int threads : {1, 4}) {
+    const auto plain = with_threads(
+        threads, [&] { return with_obs(false, run_served_window); });
+    const auto traced = with_threads(
+        threads, [&] { return with_obs(true, run_served_window); });
+    ASSERT_FALSE(plain.empty());
     EXPECT_EQ(plain, traced) << "at " << threads << " threads";
   }
 }

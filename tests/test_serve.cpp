@@ -489,6 +489,263 @@ TEST_F(ServerTest, StatsAccountForEveryWindow) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-frame feature cache: what happens to a session's cached features on
+// every path that ends or pauses a window.
+
+/// Offline prediction of every non-overlapping window of `recording`.
+std::vector<nn::Tensor> offline_windows(pose::HandJointRegressor& model,
+                                        const sim::Recording& recording) {
+  std::vector<nn::Tensor> out;
+  for (const auto& sample : pose::make_pose_samples(recording, tiny_net()))
+    out.push_back(pose::predict_sample(model, sample));
+  return out;
+}
+
+void expect_same_pose(const nn::Tensor& got, const nn::Tensor& want) {
+  ASSERT_EQ(got.numel(), want.numel());
+  for (std::size_t e = 0; e < want.numel(); ++e)
+    ASSERT_EQ(got[e], want[e]) << "element " << e;
+}
+
+class FeatureCacheTest : public ServerTest {
+ protected:
+  void SetUp() override {
+    ServerTest::SetUp();
+    want_ = offline_windows(*model_, recording_);
+  }
+
+  /// Submits frames [first, last) of recording window `w`.
+  void submit_frames(Server& server, serve::SessionId id, int w, int first,
+                     int last) {
+    const int frames = tiny_net().frames_per_sample();
+    for (int f = first; f < last; ++f)
+      ASSERT_TRUE(server
+                      .submit(id, recording_
+                                      .frames[static_cast<std::size_t>(
+                                          w * frames + f)]
+                                      .cube)
+                      .accepted);
+  }
+
+  /// Drains, then expects exactly one completed window on `id` equal to
+  /// recording window `w`.
+  void expect_window(Server& server, serve::SessionId id, int w) {
+    server.drain();
+    std::vector<serve::WindowResult> results;
+    ASSERT_EQ(server.poll(id, &results), 1u);
+    ASSERT_EQ(results[0].disposition, Disposition::kCompleted);
+    expect_same_pose(results[0].pose, want_[static_cast<std::size_t>(w)]);
+  }
+
+  std::vector<nn::Tensor> want_;
+  const int frames_ = tiny_net().frames_per_sample();
+};
+
+TEST_F(FeatureCacheTest, StepWithNoReadyWindowCachesPendingFrames) {
+  Server server = make_server(ServeConfig{});
+  const auto a = server.join();
+  submit_frames(server, a.id, 0, 0, frames_ - 1);
+  EXPECT_EQ(server.step(), 0);
+  EXPECT_EQ(server.stats().frames_featured_early,
+            static_cast<std::uint64_t>(frames_ - 1));
+  submit_frames(server, a.id, 0, frames_ - 1, frames_);
+  expect_window(server, a.id, 0);
+  EXPECT_EQ(server.stats().frames_featured_in_batch, 1u);
+}
+
+TEST_F(FeatureCacheTest, FeaturePassTakesAtMostOneWindowOfFrames) {
+  Server server = make_server(ServeConfig{});
+  const auto a = server.join();
+  const auto b = server.join();
+  submit_frames(server, a.id, 0, 0, frames_ - 1);
+  submit_frames(server, b.id, 1, 0, frames_ - 1);
+  server.step();
+  EXPECT_EQ(server.stats().frames_featured_early,
+            static_cast<std::uint64_t>(frames_));
+  server.step();
+  EXPECT_EQ(server.stats().frames_featured_early,
+            static_cast<std::uint64_t>(2 * (frames_ - 1)));
+  submit_frames(server, a.id, 0, frames_ - 1, frames_);
+  submit_frames(server, b.id, 1, frames_ - 1, frames_);
+  expect_window(server, a.id, 0);
+  expect_window(server, b.id, 1);
+  EXPECT_EQ(server.stats().frames_featured_in_batch, 2u);
+}
+
+TEST_F(FeatureCacheTest, ReadyWindowTakesPriorityOverFeaturePass) {
+  Server server = make_server(ServeConfig{});
+  const auto a = server.join();
+  const auto b = server.join();
+  submit_frames(server, a.id, 0, 0, frames_);  // a's window is ready
+  submit_frames(server, b.id, 1, 0, 2);        // b's frames are pending
+  EXPECT_EQ(server.step(), 1);
+  EXPECT_EQ(server.stats().frames_featured_early, 0u);
+  EXPECT_EQ(server.step(), 0);
+  EXPECT_EQ(server.stats().frames_featured_early, 2u);
+}
+
+TEST_F(FeatureCacheTest, LeaveMidWindowDropsItsCachedFeatures) {
+  Server server = make_server(ServeConfig{});
+  const auto a = server.join();
+  submit_frames(server, a.id, 0, 0, frames_ - 1);
+  server.step();  // caches a's frames
+  server.leave(a.id);
+  // The next session inherits a's recycled storage; none of a's cached
+  // rows may leak into its window.
+  const auto b = server.join();
+  submit_frames(server, b.id, 1, 0, frames_);
+  expect_window(server, b.id, 1);
+  EXPECT_EQ(server.stats().frames_featured_in_batch,
+            static_cast<std::uint64_t>(frames_));
+}
+
+TEST_F(FeatureCacheTest, RejectedCompletingFrameKeepsCachedFeatures) {
+  ServeConfig cfg;
+  cfg.max_inflight = 1;
+  cfg.policy = ShedPolicy::kRejectNew;
+  Server server = make_server(cfg);
+  const auto a = server.join();
+  const auto b = server.join();
+  submit_frames(server, a.id, 0, 0, frames_ - 1);
+  server.step();                               // caches a's frames
+  submit_frames(server, b.id, 1, 0, frames_);  // b's window fills the queue
+  const auto& last =
+      recording_.frames[static_cast<std::size_t>(frames_ - 1)].cube;
+  ASSERT_FALSE(server.submit(a.id, last).accepted);
+  expect_window(server, b.id, 1);
+  const auto before = server.stats();
+  ASSERT_TRUE(server.submit(a.id, last).accepted);  // the retry
+  expect_window(server, a.id, 0);
+  EXPECT_EQ(server.stats().frames_featured_in_batch -
+                before.frames_featured_in_batch,
+            1u);
+}
+
+TEST_F(FeatureCacheTest, PoseOnlyDropDiscardsCachedFeatures) {
+  ServeConfig cfg;
+  cfg.queue_cap = 2;
+  cfg.batch_max = 1;
+  cfg.hold_ticks = 1;
+  cfg.shed_lo = 0.0;  // never de-escalate: the test steps an idle server
+  cfg.deadline_ms = 1e9;
+  Server server = make_server(cfg);
+  const auto a = server.join();
+  for (int w = 0; w < 3; ++w) submit_frames(server, a.id, w, 0, frames_);
+  server.step();
+  submit_frames(server, a.id, 0, 0, frames_);
+  server.step();
+  ASSERT_EQ(server.tier(), Tier::kPoseOnly);
+  server.drain();
+  std::vector<serve::WindowResult> results;
+  server.poll(a.id, &results);
+  // Fill windows with cached features until one is dropped.
+  bool dropped = false;
+  for (int tries = 0; tries < 2 && !dropped; ++tries) {
+    const auto before = server.stats();
+    submit_frames(server, a.id, 0, 0, frames_ - 1);
+    server.step();
+    submit_frames(server, a.id, 0, frames_ - 1, frames_);
+    dropped = server.stats().degraded_drops > before.degraded_drops;
+    server.drain();
+    results.clear();
+    server.poll(a.id, &results);
+  }
+  ASSERT_TRUE(dropped);
+  // The session refills the same storage with other frames and no step
+  // between: stale cached rows would change the pose.
+  submit_frames(server, a.id, 1, 0, frames_);
+  expect_window(server, a.id, 1);
+}
+
+TEST_F(FeatureCacheTest, ExpiredWindowRecyclesItsCachedStorage) {
+  ServeConfig cfg;
+  cfg.deadline_ms = 5.0;
+  Server server = make_server(cfg);
+  const auto a = server.join();
+  submit_frames(server, a.id, 0, 0, frames_ - 1);
+  server.step();
+  submit_frames(server, a.id, 0, frames_ - 1, frames_);
+  g_fake_now.store(6'000'000);  // past the 5 ms deadline
+  EXPECT_EQ(server.step(), 1);
+  std::vector<serve::WindowResult> results;
+  ASSERT_EQ(server.poll(a.id, &results), 1u);
+  EXPECT_EQ(results[0].disposition, Disposition::kDeadlineMissed);
+  // The next window completes into fresh storage; the one after refills
+  // the expired window's recycled storage, with no step to cache it.
+  submit_frames(server, a.id, 1, 0, frames_);
+  expect_window(server, a.id, 1);
+  submit_frames(server, a.id, 2, 0, frames_);
+  expect_window(server, a.id, 2);
+}
+
+TEST(FeatureCache, FeaturePassOverlappingCompletionAttachesToQueuedWindow) {
+  // step() runs on its own thread; the window's last frame goes in once
+  // the pass has claimed the others and before it finishes.  The rows
+  // must attach to the now-queued window, so its batch computes only
+  // the last frame.  The overlap is a race, so a wide trunk keeps the
+  // pass long, and the test retries until the overlap happens.
+  pose::PoseNetConfig net = tiny_net();
+  net.spacenet.stem_channels = 32;
+  net.spacenet.block1_channels = 48;
+  net.spacenet.block2_channels = 48;
+  const int prev_threads = num_threads();
+  set_num_threads(1);
+  Rng rng(17);
+  pose::HandJointRegressor model(net, rng);
+  const sim::Recording recording = tiny_recording(12);
+  std::vector<nn::Tensor> want;
+  for (const auto& sample : pose::make_pose_samples(recording, net))
+    want.push_back(pose::predict_sample(model, sample));
+  const int frames = net.frames_per_sample();
+  Server::Options opts;
+  opts.manual_step = true;
+  opts.clock = fake_clock;
+  Server server(ServeConfig{}, model, opts);
+  const auto a = server.join();
+  const auto submit = [&](int w, int first, int last) {
+    for (int f = first; f < last; ++f)
+      ASSERT_TRUE(
+          server
+              .submit(a.id,
+                      recording.frames[static_cast<std::size_t>(w * frames + f)]
+                          .cube)
+              .accepted);
+  };
+  bool overlapped = false;
+  for (int attempt = 0; attempt < 100 && !overlapped; ++attempt) {
+    const int w = attempt % static_cast<int>(want.size());
+    submit(w, 0, frames - 1);
+    const auto before = server.stats();
+    std::thread stepper([&] { server.step(); });
+    // Sleep between polls: on a host with little spare CPU a spinning
+    // poller would keep the stepper off the core until its slice ends.
+    const auto t0 = std::chrono::steady_clock::now();
+    while (server.stats().frames_featured_early ==
+               before.frames_featured_early &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5))
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    submit(w, frames - 1, frames);
+    stepper.join();
+    const auto mid = server.stats();
+    ASSERT_EQ(mid.frames_featured_early - before.frames_featured_early,
+              static_cast<std::uint64_t>(frames - 1));
+    overlapped = mid.frames_attached_late > before.frames_attached_late;
+    server.drain();
+    std::vector<serve::WindowResult> results;
+    ASSERT_EQ(server.poll(a.id, &results), 1u);
+    ASSERT_EQ(results[0].disposition, Disposition::kCompleted);
+    expect_same_pose(results[0].pose, want[static_cast<std::size_t>(w)]);
+    EXPECT_EQ(server.stats().frames_featured_in_batch -
+                  before.frames_featured_in_batch,
+              1u);
+  }
+  set_num_threads(prev_threads);
+  EXPECT_TRUE(overlapped);
+  EXPECT_EQ(server.stats().frames_attached_late,
+            static_cast<std::uint64_t>(frames - 1));
+}
+
+// ---------------------------------------------------------------------------
 // Chaos client
 
 TEST_F(ServerTest, SimClientConsumesServingFaultKinds) {
@@ -566,7 +823,25 @@ TEST_F(ServerTest, JoinLeaveSubmitRacesAreClean) {
 // ---------------------------------------------------------------------------
 // Drained parity with the offline pipeline
 
-void expect_drained_parity(int threads) {
+/// Steps per submit round of the stepped parity run.  Window w's rounds
+/// cycle through four patterns, so windows complete with every frame but
+/// the last cached, none cached, some cached, and with feature passes
+/// interleaved with batches.
+int steps_after_round(int round, int frames) {
+  const int window = round / frames;
+  const int k = round % frames;
+  switch (window % 4) {
+    case 0: return 2;
+    case 1: return 0;
+    case 2: return k == 1 ? 2 : 0;
+    default: return 1;
+  }
+}
+
+/// Drained-server parity with the offline pipeline.  `stepped` calls
+/// step() between submit rounds (steps_after_round), so windows reach
+/// the batch with per-frame features already cached.
+void expect_drained_parity(int threads, bool stepped = false) {
   const int prev_threads = num_threads();
   set_num_threads(threads);
   Rng rng(11);
@@ -585,11 +860,27 @@ void expect_drained_parity(int threads) {
   const auto a = server.join();
   const auto b = server.join();
   ASSERT_TRUE(a.admitted && b.admitted);
+  const int frames = tiny_net().frames_per_sample();
+  int round = 0;
   for (const auto& frame : recording.frames) {
     ASSERT_TRUE(server.submit(a.id, frame.cube).accepted);
     ASSERT_TRUE(server.submit(b.id, frame.cube).accepted);
+    if (stepped)
+      for (int i = 0; i < steps_after_round(round, frames); ++i) server.step();
+    ++round;
   }
   server.drain();
+  if (stepped) {
+    // Every frame's features were computed exactly once, some early and
+    // some in a batch, and some windows reached the batch with more than
+    // its last frame missing.
+    const auto stats = server.stats();
+    const std::uint64_t windows = stats.windows_completed;
+    EXPECT_EQ(stats.frames_featured_early + stats.frames_featured_in_batch,
+              windows * static_cast<std::uint64_t>(frames));
+    EXPECT_GT(stats.frames_featured_early, 0u);
+    EXPECT_GT(stats.frames_featured_in_batch, windows);
+  }
 
   // Reference: predict_recording's healthy path over the same windows.
   const auto predictions = pose::predict_recording(model, recording);
@@ -627,6 +918,149 @@ TEST(ServeParity, DrainedServerMatchesOfflinePipelineOneThread) {
 
 TEST(ServeParity, DrainedServerMatchesOfflinePipelineFourThreads) {
   expect_drained_parity(4);
+}
+
+TEST(ServeParity, SteppedServerWithCachedFeaturesMatchesOneThread) {
+  expect_drained_parity(1, /*stepped=*/true);
+}
+
+TEST(ServeParity, SteppedServerWithCachedFeaturesMatchesFourThreads) {
+  expect_drained_parity(4, /*stepped=*/true);
+}
+
+TEST(ServeParity, ThreadedFeaturePassesRaceCompletionsPollAndLeave) {
+  // The scheduler thread computes features while paced clients submit,
+  // poll and leave, so feature passes race window completions, batches
+  // and sessions ending mid-window.  Each window's last two frames go in
+  // back to back.
+  Rng rng(11);
+  pose::HandJointRegressor model(tiny_net(), rng);
+  const sim::Recording recording = tiny_recording(16);
+  const std::vector<nn::Tensor> want = offline_windows(model, recording);
+  const int frames = tiny_net().frames_per_sample();
+  const auto n_windows = static_cast<std::uint64_t>(want.size());
+
+  ServeConfig cfg;
+  cfg.deadline_ms = 1e9;
+  cfg.max_sessions = 4;
+  cfg.queue_cap = 64;
+  cfg.max_inflight = 256;
+  cfg.batch_max = 3;
+  Server server(cfg, model);
+  std::atomic<std::uint64_t> compared{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      Rng crng(static_cast<std::uint64_t>(200 + c));
+      std::vector<serve::WindowResult> results;
+      const auto check = [&](serve::SessionId id) {
+        results.clear();
+        server.poll(id, &results);
+        for (const auto& r : results) {
+          const nn::Tensor& expect = want[r.seq % n_windows];
+          bool same = r.disposition == Disposition::kCompleted &&
+                      r.pose.numel() == expect.numel();
+          for (std::size_t e = 0; same && e < expect.numel(); ++e)
+            same = r.pose[e] == expect[e];
+          if (!same) failures.fetch_add(1);
+          compared.fetch_add(1);
+        }
+      };
+      for (int life = 0; life < 4; ++life) {
+        const auto j = server.join();
+        if (!j.admitted) {
+          failures.fetch_add(1);
+          return;
+        }
+        // Every life but the last ends with a leave() mid-window.
+        const int windows = 12 + c;
+        const int extra = life < 3 ? 1 + life % (frames - 1) : 0;
+        for (int f = 0; f < windows * frames + extra; ++f) {
+          const auto w = static_cast<std::size_t>(f / frames) % want.size();
+          const auto& cube =
+              recording.frames[w * static_cast<std::size_t>(frames) +
+                               static_cast<std::size_t>(f % frames)]
+                  .cube;
+          if (!server.submit(j.id, cube).accepted) failures.fetch_add(1);
+          if (f % frames != frames - 2)
+            std::this_thread::sleep_for(std::chrono::microseconds(
+                50 + static_cast<int>(crng.uniform() * 150)));
+          if (f % frames == frames - 1) check(j.id);
+        }
+        if (life == 3) {
+          server.drain();
+          check(j.id);
+        }
+        server.leave(j.id);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.drain();
+  EXPECT_EQ(failures.load(), 0);
+  const auto stats = server.stats();
+  EXPECT_GT(compared.load(), 0u);
+  EXPECT_EQ(stats.windows_shed + stats.windows_missed, 0u);
+  EXPECT_GT(stats.frames_featured_early, 0u);
+  // Features are computed at most once per accepted frame (a pass whose
+  // session left wastes its rows, nothing is computed twice).
+  EXPECT_LE(stats.frames_featured_early + stats.frames_featured_in_batch,
+            stats.frames_accepted);
+  EXPECT_GE(stats.frames_featured_early + stats.frames_featured_in_batch,
+            stats.windows_completed * static_cast<std::uint64_t>(frames));
+  EXPECT_EQ(stats.ready_depth, 0);
+  EXPECT_EQ(stats.inflight, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Memory: a served window moves its storage, it does not copy it.
+
+TEST(ServeMemory, SteadyStateAllocatesUnderHalfAWindowPerWindow) {
+  // Threaded scheduler.  A per-window copy of the raw frames, or pooled
+  // buffers drifting between the submitting and the scheduler thread,
+  // would cost at least a whole window of bytes per window.
+  const pose::PoseNetConfig net = tiny_net();
+  Rng rng(11);
+  pose::HandJointRegressor model(net, rng);
+  const sim::Recording recording = tiny_recording(16);
+  const int frames = net.frames_per_sample();
+  ServeConfig cfg;
+  cfg.deadline_ms = 1e9;
+  Server server(cfg, model);
+  const auto a = server.join();
+  ASSERT_TRUE(a.admitted);
+  std::vector<serve::WindowResult> results;
+  results.reserve(4);
+  std::size_t next = 0;
+  const auto serve_windows = [&](int n) {
+    for (int w = 0; w < n; ++w) {
+      for (int f = 0; f < frames; ++f) {
+        const auto& cube =
+            recording.frames[next++ % recording.frames.size()].cube;
+        ASSERT_TRUE(server.submit(a.id, cube).accepted);
+      }
+      do {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        results.clear();
+      } while (server.poll(a.id, &results) == 0);
+      ASSERT_EQ(results[0].disposition, Disposition::kCompleted);
+    }
+  };
+  serve_windows(50);  // warm-up: pools, free lists, queue capacity
+  constexpr int kWindows = 200;
+  obs::set_alloc_tracking(true);
+  const obs::AllocCounts before = obs::alloc_counts();
+  serve_windows(kWindows);
+  const obs::AllocCounts after = obs::alloc_counts();
+  obs::set_alloc_tracking(false);
+  const double bytes_per_window =
+      static_cast<double>(after.bytes - before.bytes) / kWindows;
+  const double window_bytes = static_cast<double>(
+      static_cast<std::size_t>(frames) * net.velocity_bins * net.range_bins *
+      net.angle_bins * sizeof(float));
+  EXPECT_LT(bytes_per_window, window_bytes / 2)
+      << "one window's raw frames are " << window_bytes << " bytes";
 }
 
 // ---------------------------------------------------------------------------
