@@ -2,7 +2,7 @@
 // point a downstream user scripts against.
 //
 //   mmhand_cli simulate [--user N] [--distance M] [--seconds S] [--obj DIR]
-//       simulate a capture and print per-frame cube stats / point clouds
+//       simulate a capture and print per-frame cube stats
 //   mmhand_cli train [--fast] [--cache DIR]
 //       train (or load) the cross-validation fold models
 //   mmhand_cli eval [--fast] [--cache DIR] [--user N] [--glove silk|cotton]
@@ -23,7 +23,6 @@
 #include "mmhand/eval/model_cache.hpp"
 #include "mmhand/mesh/obj_export.hpp"
 #include "mmhand/pose/inference.hpp"
-#include "mmhand/radar/point_cloud.hpp"
 
 using namespace mmhand;
 
@@ -81,14 +80,10 @@ int cmd_simulate(const Args& args) {
   scenario.duration_s = args.get_double("seconds", 1.0);
   const auto recording = builder.record(scenario);
 
-  std::printf("%-7s %-10s %-9s %s\n", "frame", "cube max", "points",
-              "gesture");
+  std::printf("%-7s %-10s %s\n", "frame", "cube max", "gesture");
   for (std::size_t f = 0; f < recording.frames.size(); f += 5) {
     const auto& frame = recording.frames[f];
-    const auto cloud =
-        radar::extract_point_cloud(frame.cube, builder.pipeline());
-    std::printf("%-7zu %-10.2f %-9zu %s\n", f, frame.cube.max_value(),
-                cloud.size(),
+    std::printf("%-7zu %-10.2f %s\n", f, frame.cube.max_value(),
                 std::string(hand::gesture_name(frame.gesture)).c_str());
   }
   std::printf("simulated %zu frames (user %d, %.0f cm)\n",

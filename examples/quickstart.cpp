@@ -6,8 +6,8 @@
 //   4. predict 3-D skeletons on held-out frames and print the error
 //
 // Uses a deliberately small configuration so it finishes in about a
-// minute on a laptop CPU.  See gesture_tracking.cpp and mesh_export.cpp
-// for the full-scale cached models.
+// minute on a laptop CPU.  See occlusion_demo.cpp for a trained model
+// behind obstacles and mesh_export.cpp for MANO-style meshes.
 
 #include <cstdio>
 

@@ -7,10 +7,8 @@
 // sizes, a Bluestein fallback for arbitrary sizes, and a chirp-Z transform
 // used by the zoom-FFT angle refinement.
 //
-// One implementation on every ISA (DESIGN §9): the power-of-two
-// transforms run on split-complex (SoA) layouts through the simd/ kernel
-// table.  The scalar ISA is the width-1 instance of the same kernels;
-// wider ISAs agree with it to 1e-9 relative.  The radar pipeline runs
+// Plain scalar code with separate multiplies and adds, so the results are
+// the same on every ISA and host (DESIGN §9).  The radar pipeline runs
 // these per-signal transforms once, on unit impulses, to build its
 // precomputed maps (DESIGN §3); no frame goes through them.
 
@@ -31,11 +29,6 @@ std::vector<Complex> fft(std::span<const Complex> x);
 /// Inverse FFT of arbitrary size (includes 1/N normalization).
 std::vector<Complex> ifft(std::span<const Complex> x);
 
-/// FFT of a real signal; returns the full complex spectrum of length n.
-/// Power-of-two sizes (n >= 4) use the real-input specialization
-/// (half-size complex FFT plus untangling).
-std::vector<Complex> fft_real(std::span<const double> x);
-
 /// Swaps the two halves of a spectrum so that bin 0 (DC) is centered.
 /// For odd n the extra element stays with the upper half, matching numpy.
 std::vector<Complex> fft_shift(std::span<const Complex> x);
@@ -52,9 +45,5 @@ std::vector<Complex> czt(std::span<const Complex> x, std::size_t m, Complex w,
 /// the plain FFT (§III: angle-FFT refinement).
 std::vector<Complex> zoom_fft(std::span<const Complex> x, double f_lo,
                               double f_hi, std::size_t bins);
-
-/// Single-signal split-complex power-of-two FFT on the active SIMD
-/// kernels (vectorized across the butterfly index).
-void fft_soa_pow2(double* re, double* im, std::size_t n, bool inverse);
 
 }  // namespace mmhand::dsp

@@ -242,27 +242,26 @@ Histogram& histogram(const std::string& name) {
 }
 
 std::string metrics_json() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
+  const MetricsSample sample = sample_metrics();
   std::ostringstream os;
   os << "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, c] : r.counters) {
+  for (const auto& [name, value] : sample.counters) {
     os << (first ? "" : ",") << "\n    \"" << json_escape(name)
-       << "\": " << c->value();
+       << "\": " << value;
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
-  for (const auto& [name, g] : r.gauges) {
+  for (const auto& [name, value] : sample.gauges) {
     os << (first ? "" : ",") << "\n    \"" << json_escape(name)
-       << "\": " << json_number(g->value());
+       << "\": " << json_number(value);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : r.histograms) {
-    const HistogramStats s = h->stats();
+  for (const auto& [name, snap] : sample.histograms) {
+    const HistogramStats s = snapshot_stats(snap);
     os << (first ? "" : ",") << "\n    \"" << json_escape(name)
        << "\": {\"count\": " << s.count << ", \"sum\": " << json_number(s.sum)
        << ", \"min\": " << json_number(s.min)
@@ -285,7 +284,11 @@ bool write_metrics(const std::string& path) {
     return false;
   }
   std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    MMHAND_WARN("writing metrics to %s failed", path.c_str());
+    return false;
+  }
   return true;
 }
 

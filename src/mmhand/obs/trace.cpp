@@ -223,7 +223,11 @@ bool write_trace(const std::string& path) {
                    id, where, args);
   }
   std::fprintf(f, "\n]}\n");
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    MMHAND_WARN("writing trace to %s failed", path.c_str());
+    return false;
+  }
   if (lost > 0)
     MMHAND_WARN("trace %s is incomplete: %llu older events were "
                 "overwritten at the per-thread ring cap (the newest are "

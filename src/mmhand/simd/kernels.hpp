@@ -1,8 +1,7 @@
 #pragma once
 
-// Backend kernel-table accessors, consumed by dispatch.cpp and by
-// dsp/fft.cpp, which builds the CZT kernel spectrum with the width-1
-// table whatever ISA is active.
+// Backend kernel-table accessors, consumed by dispatch.cpp only; the
+// rest of the library goes through simd::kernels().
 // Each backend lives in its own translation unit so ISA-specific
 // compile flags (-mavx2 -mfma) never leak into code that runs before
 // dispatch has checked CPUID.

@@ -2,9 +2,6 @@
 // dispatch.cpp only hands out this table after CPUID confirms support,
 // so the rest of the binary stays runnable on baseline hardware.
 
-#include <cmath>
-#include <utility>
-
 #include "mmhand/simd/kernels.hpp"
 #include "mmhand/simd/vec_avx2.hpp"
 

@@ -1,8 +1,5 @@
 // NEON lane kernels; real contents only on aarch64 builds.
 
-#include <cmath>
-#include <utility>
-
 #include "mmhand/simd/kernels.hpp"
 #include "mmhand/simd/vec_neon.hpp"
 

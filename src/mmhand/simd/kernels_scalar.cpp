@@ -1,6 +1,3 @@
-#include <cmath>
-#include <utility>
-
 #include "mmhand/simd/kernels.hpp"
 #include "mmhand/simd/vec_scalar.hpp"
 

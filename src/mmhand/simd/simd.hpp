@@ -10,20 +10,23 @@
 // `simd-confinement` lint rule keeps raw `_mm*`/`vld1q*` identifiers
 // inside src/mmhand/simd/.
 //
-// Data layout: the DSP kernels work on split-complex (SoA) double
-// arrays, vectorized across the element index; the GEMM tile kernel
-// (`gemm_panel`) on float panels.  The radar front end is three
-// precomputed complex maps (DESIGN §3), so its whole hot path is two
-// entries: the split-complex product `cgemm` and the fused magnitude +
-// log compression `log1p_abs`.
+// Data layout: the radar kernels work on split-complex (SoA) double
+// arrays, vectorized across the output-column or element index; the
+// GEMM tile kernel (`gemm_panel`) on float panels.  The radar front end
+// is three precomputed complex maps (DESIGN §3), so its whole hot path
+// is two entries: the split-complex product `cgemm` and the fused
+// magnitude + log compression `log1p_abs`.  The per-signal FFTs that
+// build those maps are plain scalar code in dsp/fft.cpp.
 //
 // Numerical contract (DESIGN §9): one implementation; the scalar ISA is
 // its width-1 instance and only the table differs.  Both products —
 // `cgemm` and the GEMM tile kernel — give every output element one fmadd
 // chain from 0 over ascending k on every ISA, so results do not depend
 // on tiling or thread count; the width-1 fmadd is unfused, so outputs
-// differ across ISAs by ulps.  The cube goldens pin each ISA's bits; the
-// radar oracle test is what justifies their values.
+// differ across ISAs by ulps.  The maps are built with the width-1
+// arithmetic on every ISA, so a cube depends only on the table that
+// runs the frame.  The cube goldens pin each ISA's bits; the radar
+// oracle test is what justifies their values.
 
 #include <cstddef>
 
@@ -78,21 +81,6 @@ struct ComplexProduct {
 /// (4 for AVX2, 2 for NEON, 1 for scalar).
 struct Kernels {
   int width = 1;
-
-  /// Radix-2 FFT of one signal of power-of-two size n in SoA form,
-  /// vectorized across the butterfly index.  stw_re/stw_im are the
-  /// per-stage twiddle tables (n-1 doubles each: stage len=2 first,
-  /// len/2 entries per stage, contiguous).
-  void (*fft_soa)(double* re, double* im, std::size_t n, const double* stw_re,
-                  const double* stw_im, bool inverse);
-
-  /// x[j] *= b[j] for j < count: flat elementwise complex multiply.
-  void (*cmul)(double* re, double* im, const double* b_re, const double* b_im,
-               std::size_t count);
-
-  /// out[j] = sqrt(re[j]^2 + im[j]^2) for j < count.
-  void (*vmag)(const double* re, const double* im, double* out,
-               std::size_t count);
 
   /// Split-complex product C = A·B (overwrites C).  Each output is one
   /// fmadd chain from 0 over ascending p — the real part takes

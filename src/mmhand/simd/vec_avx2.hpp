@@ -43,10 +43,6 @@ struct VAvx2 {
   static VAvx2 fmadd(VAvx2 a, VAvx2 b, VAvx2 c) {
     return {_mm256_fmadd_pd(a.v, b.v, c.v)};
   }
-  /// a*b - c
-  static VAvx2 fmsub(VAvx2 a, VAvx2 b, VAvx2 c) {
-    return {_mm256_fmsub_pd(a.v, b.v, c.v)};
-  }
   /// c - a*b
   static VAvx2 fnmadd(VAvx2 a, VAvx2 b, VAvx2 c) {
     return {_mm256_fnmadd_pd(a.v, b.v, c.v)};

@@ -32,10 +32,6 @@ struct VNeon {
   static VNeon fmadd(VNeon a, VNeon b, VNeon c) {
     return {vfmaq_f64(c.v, a.v, b.v)};
   }
-  /// a*b - c
-  static VNeon fmsub(VNeon a, VNeon b, VNeon c) {
-    return {vnegq_f64(vfmsq_f64(c.v, a.v, b.v))};
-  }
   /// c - a*b
   static VNeon fnmadd(VNeon a, VNeon b, VNeon c) {
     return {vfmsq_f64(c.v, a.v, b.v)};

@@ -3,7 +3,7 @@
 // Width-1 "vector" backend: plain doubles behind the same interface as
 // vec_avx2/vec_neon, so the generic kernel bodies in kernels_body.inl
 // instantiate unchanged.  This is the table every host can run and the
-// one `MMHAND_SIMD=scalar` selects.  fmadd/fmsub/fnmadd are a separate
+// one `MMHAND_SIMD=scalar` selects.  fmadd/fnmadd are a separate
 // multiply and add (unfused), so width-1 results are the same on every
 // build and host (DESIGN §9).
 
@@ -38,10 +38,6 @@ struct VScalar {
   /// a*b + c
   static VScalar fmadd(VScalar a, VScalar b, VScalar c) {
     return {a.v * b.v + c.v};
-  }
-  /// a*b - c
-  static VScalar fmsub(VScalar a, VScalar b, VScalar c) {
-    return {a.v * b.v - c.v};
   }
   /// c - a*b
   static VScalar fnmadd(VScalar a, VScalar b, VScalar c) {

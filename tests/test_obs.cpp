@@ -331,6 +331,18 @@ TEST(ObsTrace, ClearDropsCapturedSpans) {
   std::filesystem::remove(path);
 }
 
+TEST(ObsTrace, WriteReportsFailureOnFullDevice) {
+  // /dev/full accepts the open and fails every write with ENOSPC, which
+  // surfaces at the flush in fclose.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  { MMHAND_SPAN("test/full_device"); }
+  obs::set_tracing_enabled(false);
+  EXPECT_FALSE(obs::write_trace("/dev/full"));
+  obs::clear_trace();
+}
+
 // ---------------------------------------------------------------------
 // Logger.
 
@@ -505,6 +517,13 @@ TEST(ObsMetrics, ResetZeroesButKeepsHandles) {
   EXPECT_EQ(c.value(), 0);
   c.add(2);
   EXPECT_EQ(c.value(), 2);
+}
+
+TEST(ObsMetrics, WriteReportsFailureOnFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  MetricsOn on;
+  obs::counter("test/obs.full_device_counter").add(1);
+  EXPECT_FALSE(obs::write_metrics("/dev/full"));
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "mmhand/common/error.hpp"
@@ -555,6 +556,51 @@ TEST(RadarPipeline, CubeMatchesPerSignalReference) {
             << " zoom=" << zoom << " cube max " << max;
       }
   }
+}
+
+TEST(RadarPipeline, CubeDoesNotDependOnIsaAtConstruction) {
+  // The maps are built by the scalar per-signal dsp:: code whatever ISA
+  // is active, so a pipeline constructed on a vector table must give the
+  // same cube bits as one constructed on the width-1 table.
+  const ChirpConfig c;  // default thermal noise
+  const AntennaArray arr(c);
+  const IfSimulator quiet(paper_chirp(), arr);
+  const IfSimulator noisy(c, arr);
+  const Scene golden{
+      {Vec3{0.05, 0.30, 0.02}, Vec3{0.0, 0.4, 0.0}, 1.0},
+      {Vec3{-0.08, 0.45, -0.01}, Vec3{0.0, -0.2, 0.0}, 0.7},
+  };
+  const Scene hand{
+      {Vec3{0.03, 0.28, 0.01}, Vec3{0.0, 0.9, 0.1}, 1.0},
+      {Vec3{0.00, 1.00, -0.20}, Vec3{0.0, 0.05, 0.0}, 8.0},
+  };
+  Rng rng(11);
+  std::vector<IfFrame> frames = {quiet.simulate_frame(golden, 0.0, rng)};
+  for (int f = 0; f < 4; ++f)
+    frames.push_back(noisy.simulate_frame(hand, f * c.frame_period_s, rng));
+
+  struct RestoreIsa {
+    Isa saved = simd::active_isa();
+    ~RestoreIsa() { simd::set_isa(saved); }
+  } restore;
+  ASSERT_TRUE(simd::set_isa(Isa::kScalar));
+  const RadarPipeline built_scalar(c, arr, PipelineConfig{});
+  int tables = 0;
+  for (const Isa isa : {Isa::kAvx2, Isa::kNeon}) {
+    if (!simd::set_isa(isa)) continue;
+    ++tables;
+    const RadarPipeline built_vector(c, arr, PipelineConfig{});
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const auto want = built_scalar.process_frame(frames[f]);
+      const auto got = built_vector.process_frame(frames[f]);
+      ASSERT_EQ(want.data().size(), got.data().size());
+      EXPECT_EQ(std::memcmp(want.data().data(), got.data().data(),
+                            want.data().size() * sizeof(float)),
+                0)
+          << simd::isa_name(isa) << " frame " << f;
+    }
+  }
+  if (tables == 0) GTEST_SKIP() << "no vector ISA";
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Tests for the SIMD layer: ISA dispatch, scalar-vs-vector parity of
-// the per-signal DSP entry points (fft/ifft/fft_real/zoom_fft/magnitude)
-// over randomized sizes, per-ISA oracles for the radar front end's two
-// kernels (the split-complex product and the fused log1p magnitude), and
-// the bitwise golden pins of the radar pipeline on the scalar (width-1)
-// and AVX2 kernels (DESIGN §9).
+// Tests for the SIMD layer: ISA dispatch, per-ISA oracles for the radar
+// front end's two kernels (the split-complex product and the fused log1p
+// magnitude), and the bitwise golden pins of the radar pipeline on the
+// scalar (width-1) and AVX2 kernels (DESIGN §9).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +14,6 @@
 
 #include "mmhand/common/rng.hpp"
 #include "mmhand/dsp/fft.hpp"
-#include "mmhand/dsp/spectrum.hpp"
 #include "mmhand/radar/antenna_array.hpp"
 #include "mmhand/radar/chirp_config.hpp"
 #include "mmhand/radar/if_simulator.hpp"
@@ -42,26 +39,6 @@ class IsaGuard {
 
 /// Best vector (non-scalar) ISA, or kScalar when the host has none.
 Isa vector_isa() { return simd::best_supported_isa(); }
-
-std::vector<Complex> random_signal(std::size_t n, Rng& rng) {
-  std::vector<Complex> x(n);
-  for (auto& v : x) v = Complex{rng.normal(), rng.normal()};
-  return x;
-}
-
-/// Max elementwise |a-b| relative to the reference's L-inf norm.
-double rel_error(const std::vector<Complex>& ref,
-                 const std::vector<Complex>& got) {
-  EXPECT_EQ(ref.size(), got.size());
-  double scale = 0.0, err = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    scale = std::max(scale, std::abs(ref[i]));
-    err = std::max(err, std::abs(ref[i] - got[i]));
-  }
-  return err / std::max(scale, 1e-300);
-}
-
-constexpr double kParityTol = 1e-9;
 
 // --- dispatch -----------------------------------------------------------
 
@@ -96,72 +73,6 @@ TEST(SimdDispatch, IsaNamesAreStable) {
   EXPECT_STREQ(simd::isa_name(Isa::kScalar), "scalar");
   EXPECT_STREQ(simd::isa_name(Isa::kAvx2), "avx2");
   EXPECT_STREQ(simd::isa_name(Isa::kNeon), "neon");
-}
-
-// --- scalar-vs-vector parity --------------------------------------------
-
-TEST(ScalarSimdParity, FftAndInverseOverPowerOfTwoSizes) {
-  if (vector_isa() == Isa::kScalar) GTEST_SKIP() << "no vector ISA";
-  IsaGuard guard;
-  Rng rng(101);
-  for (const std::size_t n : {2u, 4u, 8u, 16u, 64u, 128u, 512u}) {
-    const auto x = random_signal(n, rng);
-    ASSERT_TRUE(simd::set_isa(Isa::kScalar));
-    const auto ref_f = dsp::fft(x);
-    const auto ref_i = dsp::ifft(x);
-    ASSERT_TRUE(simd::set_isa(vector_isa()));
-    EXPECT_LT(rel_error(ref_f, dsp::fft(x)), kParityTol) << "fft n=" << n;
-    EXPECT_LT(rel_error(ref_i, dsp::ifft(x)), kParityTol) << "ifft n=" << n;
-  }
-}
-
-TEST(ScalarSimdParity, RealInputFft) {
-  if (vector_isa() == Isa::kScalar) GTEST_SKIP() << "no vector ISA";
-  IsaGuard guard;
-  Rng rng(102);
-  // Power-of-two sizes hit the packed real-FFT specialization; 6 and 12
-  // exercise the generic fallback under a vector ISA.
-  for (const std::size_t n : {4u, 6u, 8u, 12u, 64u, 256u}) {
-    std::vector<double> x(n);
-    for (auto& v : x) v = rng.normal();
-    ASSERT_TRUE(simd::set_isa(Isa::kScalar));
-    const auto ref = dsp::fft_real(x);
-    ASSERT_TRUE(simd::set_isa(vector_isa()));
-    EXPECT_LT(rel_error(ref, dsp::fft_real(x)), kParityTol) << "n=" << n;
-  }
-}
-
-TEST(ScalarSimdParity, ZoomFftNonPowerOfTwoBins) {
-  if (vector_isa() == Isa::kScalar) GTEST_SKIP() << "no vector ISA";
-  IsaGuard guard;
-  Rng rng(103);
-  const struct {
-    std::size_t n, bins;
-    double f_lo, f_hi;
-  } cases[] = {
-      {5, 7, -0.2, 0.2},   {16, 16, 0.05, 0.25}, {60, 24, -0.4, 0.4},
-      {64, 33, 0.0, 0.5},  {64, 16, -0.083, 0.083},
-  };
-  for (const auto& c : cases) {
-    const auto x = random_signal(c.n, rng);
-    ASSERT_TRUE(simd::set_isa(Isa::kScalar));
-    const auto ref = dsp::zoom_fft(x, c.f_lo, c.f_hi, c.bins);
-    ASSERT_TRUE(simd::set_isa(vector_isa()));
-    EXPECT_LT(rel_error(ref, dsp::zoom_fft(x, c.f_lo, c.f_hi, c.bins)),
-              kParityTol)
-        << "n=" << c.n << " bins=" << c.bins;
-  }
-}
-
-TEST(ScalarSimdParity, MagnitudeMatchesStdAbs) {
-  if (vector_isa() == Isa::kScalar) GTEST_SKIP() << "no vector ISA";
-  IsaGuard guard;
-  Rng rng(106);
-  const auto x = random_signal(37, rng);  // odd: exercises the tail loop
-  ASSERT_TRUE(simd::set_isa(vector_isa()));
-  const auto mags = dsp::magnitude(x);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(mags[i], std::abs(x[i]), 1e-12 + 1e-9 * std::abs(x[i]));
 }
 
 // --- radar front-end kernels, per ISA ----------------------------------
@@ -386,11 +297,13 @@ TEST(ScalarGolden, PipelineCubeHashUnchanged) {
 TEST(VectorGolden, PipelineCubeHashUnchanged) {
   // Same scene on the AVX2 kernels.  The scalar golden cannot see a
   // change to the shared kernel bodies that only alters wider lanes
-  // (tile shape, tail handling, FMA order); this pin does.
+  // (tile shape, tail handling, FMA order); this pin does.  The maps
+  // are the width-1 ones on every ISA, so only the per-frame product
+  // and log1p_abs run on AVX2 here.
   if (!simd::isa_supported(Isa::kAvx2)) GTEST_SKIP() << "no AVX2";
   IsaGuard guard;
   ASSERT_TRUE(simd::set_isa(Isa::kAvx2));
-  EXPECT_EQ(golden_scene_cube_hash(), 0x79e42d298f0446cbull);
+  EXPECT_EQ(golden_scene_cube_hash(), 0xbe4c99907e88d96eull);
 }
 
 TEST(VectorPipeline, CubeMatchesScalarWithinTolerance) {

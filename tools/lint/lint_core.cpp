@@ -326,7 +326,6 @@ Config default_config() {
   };
   cfg.io_allow = {
       "src/mmhand/eval/table_printer.cpp",
-      "src/mmhand/eval/csv_export.cpp",
   };
   cfg.rng_allow = {
       "src/mmhand/common/rng.hpp",

@@ -196,9 +196,9 @@ const std::set<std::string>& non_call_keywords() {
 /// alone: `g_active.load(...)`, `V::load(p)`, `frames.add(1)`, and
 /// chrono's `.count()` would otherwise edge into every unrelated
 /// `load`/`add`/`count` definition in the tree (Adam::load,
-/// EvalAccumulator::add, ConfusionMatrix::count, ...).  Calls with
-/// these terminals stay unresolved unless spelled with enough
-/// qualification to match a definition exactly — the one place the
+/// EvalAccumulator::add, ...).  Calls with these terminals stay
+/// unresolved unless spelled with enough qualification to match a
+/// definition exactly — the one place the
 /// analyzer under-approximates instead of over; the runtime interposer
 /// in scripts/check_purity.sh covers what this drops.
 const std::set<std::string>& ambiguous_terminals() {
@@ -501,7 +501,6 @@ PurityConfig default_purity_config() {
       "allocation is the observability tax, measured by the interposer");
   add("simd::kernels", "dispatch table; init-once, then a relaxed load");
   add("simd::active_isa", "init-once env resolution, then a relaxed load");
-  add("dsp::stage_twiddles", "lock-free slot read; cold build path only");
   add("radar::frame_workspace", "grow-on-demand thread-local workspace");
   add("radar::RadarCube::reset", "grow-only storage reuse");
   add("nn::im2col_scratch", "grow-on-demand thread-local scratch");
