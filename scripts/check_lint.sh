@@ -6,6 +6,9 @@
 #      as its own translation unit)
 #   3. run clang-tidy over src/mmhand/ when it is installed
 #
+# The purity gate (mmhand_lint --purity) lives in scripts/check_purity.sh,
+# which CI's own purity job runs.
+#
 # Usage: scripts/check_lint.sh [build-dir]   (default: build)
 # Configures the build dir first if needed, so this works from a fresh
 # checkout.  Exit status is non-zero on any lint finding.
@@ -19,9 +22,6 @@ cmake --build "$BUILD_DIR" -j --target mmhand_lint lint_headers
 
 echo "===== mmhand_lint ====="
 "$BUILD_DIR"/tools/mmhand_lint --root .
-
-echo "===== mmhand_lint --purity ====="
-"$BUILD_DIR"/tools/mmhand_lint --root . --purity
 
 echo "===== clang-tidy ====="
 if command -v clang-tidy > /dev/null; then

@@ -211,6 +211,7 @@ void HandJointRegressor::load(const std::string& path) {
   nn::load_parameters(parameters(), r);
 }
 
+MMHAND_REALTIME
 void write_cube_frame(const radar::RadarCube& cube,
                       const PoseNetConfig& config, float* dst) {
   MMHAND_CHECK(cube.velocity_bins() == config.velocity_bins &&

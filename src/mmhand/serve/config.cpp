@@ -1,6 +1,7 @@
 #include "mmhand/serve/config.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 namespace mmhand::serve {
 
@@ -17,7 +18,13 @@ const char* tier_name(Tier tier) {
 }
 
 void ServeConfig::validate() const {
-  MMHAND_CHECK(deadline_ms > 0.0, "MMHAND_SERVE deadline_ms must be > 0");
+  // Durations become integer nanoseconds downstream; 1e12 ms (about 32
+  // years, far past any "never expires" deadline) keeps that conversion
+  // well inside std::uint64_t.  The bound also rejects inf; NaN already
+  // fails the > 0 comparison.
+  constexpr double kMaxMs = 1e12;
+  MMHAND_CHECK(deadline_ms > 0.0 && deadline_ms <= kMaxMs,
+               "MMHAND_SERVE deadline_ms must be in (0, 1e12]");
   MMHAND_CHECK(max_sessions >= 1, "MMHAND_SERVE max_sessions must be >= 1");
   MMHAND_CHECK(max_inflight >= 1, "MMHAND_SERVE max_inflight must be >= 1");
   MMHAND_CHECK(queue_cap >= 1, "MMHAND_SERVE queue_cap must be >= 1");
@@ -26,7 +33,8 @@ void ServeConfig::validate() const {
                "MMHAND_SERVE shed thresholds need 0 <= shed_lo < shed_hi"
                " <= 1");
   MMHAND_CHECK(hold_ticks >= 1, "MMHAND_SERVE hold must be >= 1");
-  MMHAND_CHECK(retry_ms > 0.0, "MMHAND_SERVE retry_ms must be > 0");
+  MMHAND_CHECK(retry_ms > 0.0 && retry_ms <= kMaxMs,
+               "MMHAND_SERVE retry_ms must be in (0, 1e12]");
 }
 
 namespace {
@@ -56,6 +64,10 @@ int parse_int(const std::string& key, const std::string& value) {
   MMHAND_CHECK(consumed == value.size(),
                "MMHAND_SERVE " << key << " '" << value
                                << "' is not an integer");
+  MMHAND_CHECK(v >= std::numeric_limits<int>::min() &&
+                   v <= std::numeric_limits<int>::max(),
+               "MMHAND_SERVE " << key << " '" << value
+                               << "' is out of range");
   return static_cast<int>(v);
 }
 

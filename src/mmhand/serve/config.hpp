@@ -11,7 +11,7 @@
 // Keys:
 //   deadline_ms   per-window end-to-end deadline in milliseconds; a
 //                 window still queued (or finishing) past its deadline
-//                 is delivered as kDeadlineMissed (> 0)
+//                 is delivered as kDeadlineMissed (finite, in (0, 1e12])
 //   max_sessions  admission watermark: join() beyond this is rejected
 //                 with a RetryAfter hint (>= 1)
 //   max_inflight  global cap on ready-plus-executing windows (>= 1)
@@ -26,11 +26,13 @@
 //   hold          hysteresis: consecutive scheduler ticks the pressure
 //                 must stay past a threshold before the tier moves
 //                 (>= 1; prevents tier flapping)
-//   retry_ms      base RetryAfter hint handed to rejected clients (> 0)
+//   retry_ms      base RetryAfter hint handed to rejected clients
+//                 (finite, in (0, 1e12])
 //   seed          u64 stream seed for client backoff jitter
 //
-// Unknown keys and malformed values throw mmhand::Error at parse time,
-// so typos fail loudly (same contract as MMHAND_FAULT).
+// Unknown keys, malformed values and integers outside int range throw
+// mmhand::Error at parse time, so typos fail loudly (same contract as
+// MMHAND_FAULT).
 
 #include <cstdint>
 #include <string>

@@ -1,6 +1,7 @@
 // Tests for tools/lint: every mmhand_lint rule against violation and
-// clean fixtures, allowlist handling, the --json report shape, and the
-// common/json error paths the linter's config loading leans on.
+// clean fixtures, allowlist handling, the --json report shape, the
+// common/json error paths the linter's config loading leans on, and
+// both gates run over the real tree with the repo's own allowlists.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +22,21 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
                      [&](const Finding& f) { return f.rule == rule; });
 }
 
+/// The repo's lint config (scripts/lint_allowlist.json + README.md),
+/// loaded the way mmhand_lint loads it.
+const Config& repo_config() {
+  static const Config cfg = [] {
+    Config c;
+    std::string error;
+    EXPECT_TRUE(load_lint_config(LINT_REPO_ROOT, &c, &error)) << error;
+    return c;
+  }();
+  return cfg;
+}
+
 std::vector<Finding> lint_src(const std::string& content,
                               const std::string& path = "src/mmhand/x/f.cpp") {
-  return check_file(path, content, default_config());
+  return check_file(path, content, repo_config());
 }
 
 // --- getenv-allowlist ---------------------------------------------------
@@ -38,7 +51,7 @@ TEST(LintGetenv, FlagsGetenvOutsideAllowlist) {
 TEST(LintGetenv, AllowsAllowlistedFile) {
   const auto findings = check_file("src/mmhand/obs/state.cpp",
                                    "std::getenv(\"X\");\n",
-                                   default_config());
+                                   repo_config());
   EXPECT_FALSE(has_rule(findings, "getenv-allowlist"));
 }
 
@@ -50,7 +63,7 @@ TEST(LintGetenv, IgnoresCommentsAndStrings) {
 
 TEST(LintGetenv, DoesNotApplyOutsideLibrary) {
   EXPECT_TRUE(check_file("tests/test_x.cpp", "std::getenv(\"X\");\n",
-                         default_config())
+                         repo_config())
                   .empty());
 }
 
@@ -77,11 +90,11 @@ TEST(LintDirectIo, AllowsBufferFormattingAndFileIo) {
 TEST(LintDirectIo, ExemptsObsAndSanctionedPrinters) {
   const std::string io = "std::fprintf(stderr, \"x\");\n";
   EXPECT_FALSE(has_rule(
-      check_file("src/mmhand/obs/log.cpp", io, default_config()),
+      check_file("src/mmhand/obs/log.cpp", io, repo_config()),
       "no-direct-io"));
   EXPECT_FALSE(has_rule(check_file("src/mmhand/eval/table_printer.cpp",
                                    "std::printf(\"x\");\n",
-                                   default_config()),
+                                   repo_config()),
                         "no-direct-io"));
 }
 
@@ -105,24 +118,25 @@ TEST(LintRng, CleanOnSeededRngAndSimilarNames) {
                   .empty());
 }
 
-TEST(LintRng, ExemptsRngImplementation) {
-  EXPECT_TRUE(check_file("src/mmhand/common/rng.cpp",
-                         "std::random_device rd;\n", default_config())
-                  .empty());
+TEST(LintRng, AppliesToRngImplementation) {
+  // No file is exempt: common/rng itself is seeded explicitly.
+  EXPECT_TRUE(has_rule(check_file("src/mmhand/common/rng.cpp",
+                                  "std::random_device rd;\n", repo_config()),
+                       "no-unseeded-rng"));
 }
 
 // --- header hygiene -----------------------------------------------------
 
 TEST(LintHeader, FlagsMissingPragmaOnce) {
   const auto findings =
-      check_file("src/mmhand/x/f.hpp", "int f();\n", default_config());
+      check_file("src/mmhand/x/f.hpp", "int f();\n", repo_config());
   EXPECT_TRUE(has_rule(findings, "pragma-once"));
 }
 
 TEST(LintHeader, FlagsUsingNamespace) {
   const auto findings = check_file(
       "src/mmhand/x/f.hpp", "#pragma once\nusing namespace std;\n",
-      default_config());
+      repo_config());
   EXPECT_TRUE(has_rule(findings, "no-using-namespace"));
   EXPECT_EQ(findings[0].line, 2);
 }
@@ -133,13 +147,13 @@ TEST(LintHeader, CleanHeaderPasses) {
                          "// using namespace in a comment is fine\n"
                          "using Alias = int;\n"
                          "int f();\n",
-                         default_config())
+                         repo_config())
                   .empty());
 }
 
 TEST(LintHeader, SourceFilesNeedNoPragma) {
   EXPECT_TRUE(check_file("src/mmhand/x/f.cpp", "int f() { return 1; }\n",
-                         default_config())
+                         repo_config())
                   .empty());
 }
 
@@ -184,7 +198,7 @@ TEST(LintSimd, AllowsIntrinsicsUnderSimdLayer) {
       "src/mmhand/simd/vec_avx2.hpp",
       "#pragma once\n#include <immintrin.h>\n"
       "inline __m256d f(const double* p) { return _mm256_loadu_pd(p); }\n",
-      default_config());
+      repo_config());
   EXPECT_FALSE(has_rule(findings, "simd-confinement"));
 }
 
@@ -219,7 +233,7 @@ TEST(LintPmu, AllowsPerfEventUnderPmuLayer) {
       "long open_leader(perf_event_attr* a) {\n"
       "  return syscall(SYS_perf_event_open, a, 0, -1, -1, 0);\n"
       "}\n",
-      default_config());
+      repo_config());
   EXPECT_FALSE(has_rule(findings, "pmu-confinement"));
 }
 
@@ -254,12 +268,12 @@ TEST(LintDurableWrite, AllowsReadsTextAndIoSafeItself) {
   EXPECT_FALSE(has_rule(
       check_file("src/mmhand/common/io_safe.cpp",
                  "std::FILE* f = std::fopen(tmp.c_str(), \"wb\");\n",
-                 default_config()),
+                 repo_config()),
       "durable-write"));
 }
 
 TEST(LintDurableWrite, AllowlistExtendsViaJson) {
-  Config cfg = default_config();
+  Config cfg;
   std::string error;
   ASSERT_TRUE(parse_allowlist_json(
       "{\"durable_write\": [\"src/mmhand/x/f.cpp\"]}", &cfg, &error))
@@ -273,7 +287,7 @@ TEST(LintDurableWrite, AllowlistExtendsViaJson) {
 // --- env-var-docs -------------------------------------------------------
 
 TEST(LintEnvDocs, FlagsUndocumentedLiteral) {
-  Config cfg = default_config();
+  Config cfg = repo_config();
   cfg.documented_env = {"MMHAND_THREADS"};
   const auto findings = check_file(
       "src/mmhand/x/f.cpp", "std::string k = \"MMHAND_NOT_IN_README\";\n",
@@ -284,7 +298,7 @@ TEST(LintEnvDocs, FlagsUndocumentedLiteral) {
 }
 
 TEST(LintEnvDocs, DocumentedLiteralPasses) {
-  Config cfg = default_config();
+  Config cfg = repo_config();
   cfg.documented_env = {"MMHAND_THREADS"};
   EXPECT_TRUE(check_file("src/mmhand/x/f.cpp",
                          "const char* k = \"MMHAND_THREADS\";\n", cfg)
@@ -301,26 +315,32 @@ TEST(LintEnvDocs, ExtractsNamesFromReadme) {
 
 // --- allowlist config ---------------------------------------------------
 
-TEST(LintAllowlist, JsonOverridesDefaults) {
-  Config cfg = default_config();
+TEST(LintAllowlist, AbsentKeyIsEmpty) {
+  Config cfg = repo_config();
+  ASSERT_FALSE(cfg.io_allow.empty());
   std::string error;
   ASSERT_TRUE(parse_allowlist_json(
       "{\"getenv\": [\"src/mmhand/x/custom.cpp\"]}", &cfg, &error))
       << error;
   EXPECT_EQ(cfg.getenv_allow,
             (std::vector<std::string>{"src/mmhand/x/custom.cpp"}));
-  // Untouched keys keep their defaults.
-  EXPECT_FALSE(cfg.io_allow.empty());
+  // A parse replaces every list; keys the text lacks come out empty.
+  EXPECT_TRUE(cfg.io_allow.empty());
+  EXPECT_TRUE(cfg.durable_write_allow.empty());
+  EXPECT_TRUE(cfg.raw_alloc_allow.empty());
   EXPECT_TRUE(
       check_file("src/mmhand/x/custom.cpp", "std::getenv(\"X\");\n", cfg)
           .empty());
   EXPECT_TRUE(has_rule(check_file("src/mmhand/obs/state.cpp",
                                   "std::getenv(\"X\");\n", cfg),
                        "getenv-allowlist"));
+  EXPECT_TRUE(has_rule(check_file("src/mmhand/eval/table_printer.cpp",
+                                  "std::printf(\"x\");\n", cfg),
+                       "no-direct-io"));
 }
 
 TEST(LintAllowlist, RejectsMalformedConfig) {
-  Config cfg = default_config();
+  Config cfg;
   std::string error;
   EXPECT_FALSE(parse_allowlist_json("{\"getenv\": 3}", &cfg, &error));
   EXPECT_NE(error.find("getenv"), std::string::npos);
@@ -490,12 +510,12 @@ TEST(LintAlloc, InterposerFileIsExemptFromRawAlloc) {
   const std::string src = "void* p = std::malloc(n);\n";
   EXPECT_TRUE(has_rule(lint_src(src), "no-raw-alloc"));
   EXPECT_FALSE(has_rule(
-      check_file("src/mmhand/obs/alloc.cpp", src, default_config()),
+      check_file("src/mmhand/obs/alloc.cpp", src, repo_config()),
       "no-raw-alloc"));
 }
 
 TEST(LintAlloc, RawAllocAllowlistExtendsViaJson) {
-  Config cfg = default_config();
+  Config cfg;
   std::string error;
   ASSERT_TRUE(parse_allowlist_json(
       "{\"raw_alloc\": [\"src/mmhand/x/pool.cpp\"]}", &cfg, &error))
@@ -701,9 +721,7 @@ TEST(Purity, CleanTreeReportsRootsAndCounts) {
   EXPECT_EQ(report.files_scanned, 1u);
 }
 
-TEST(Purity, DefaultConfigAndJsonParsing) {
-  EXPECT_FALSE(default_purity_config().audited.empty());
-
+TEST(Purity, AllowlistJsonParsing) {
   PurityConfig cfg;
   std::string error;
   ASSERT_TRUE(parse_purity_allowlist_json(
@@ -713,6 +731,9 @@ TEST(Purity, DefaultConfigAndJsonParsing) {
   ASSERT_EQ(cfg.audited.size(), 1u);
   EXPECT_EQ(cfg.audited[0].function, "x::f");
   EXPECT_EQ(cfg.audited[0].reason, "why");
+  // An absent key is an empty list, not "keep what was there".
+  ASSERT_TRUE(parse_purity_allowlist_json("{}", &cfg, &error)) << error;
+  EXPECT_TRUE(cfg.audited.empty());
 
   EXPECT_FALSE(parse_purity_allowlist_json("{\"audited\": [{}]}",
                                            &cfg, &error));
@@ -740,6 +761,94 @@ TEST(Purity, JsonReportShape) {
   ASSERT_NE(hits, nullptr);
   ASSERT_EQ(hits->as_array().size(), 1u);
   EXPECT_EQ(hits->as_array()[0].string_or("category", ""), "heap-alloc");
+}
+
+// --- both gates over the real tree -------------------------------------
+
+/// The tree both gates scan, read the way mmhand_lint reads it.
+const Sources& repo_sources(Gate gate) {
+  const auto read = [](Gate g) {
+    Sources sources;
+    std::string error;
+    EXPECT_TRUE(read_sources(LINT_REPO_ROOT, g, {}, &sources, &error))
+        << error;
+    return sources;
+  };
+  static const Sources lint = read(Gate::kLint);
+  static const Sources purity = read(Gate::kPurity);
+  return gate == Gate::kLint ? lint : purity;
+}
+
+PurityConfig repo_purity_config() {
+  PurityConfig cfg;
+  std::string error;
+  EXPECT_TRUE(load_purity_config(LINT_REPO_ROOT, &cfg, &error)) << error;
+  return cfg;
+}
+
+TEST(RepoGates, BothGatesAreCleanWithTheShippedAllowlists) {
+  ASSERT_FALSE(repo_sources(Gate::kLint).empty());
+  for (const Finding& f : check_sources(repo_sources(Gate::kLint),
+                                        repo_config()))
+    ADD_FAILURE() << f.file << ":" << f.line << ": " << f.rule << ": "
+                  << f.message;
+  const PurityReport report =
+      analyze_purity(repo_sources(Gate::kPurity), repo_purity_config());
+  EXPECT_FALSE(report.roots.empty());
+  for (const PurityRoot& root : report.roots)
+    for (const PurityHit& hit : root.hits)
+      ADD_FAILURE() << hit.file << ":" << hit.line << ": purity-"
+                    << hit.category << ": " << hit.token << " via "
+                    << root.name;
+}
+
+TEST(RepoGates, EveryLintAllowlistEntryIsNeeded) {
+  const Config& full = repo_config();
+  using List = std::vector<std::string> Config::*;
+  for (const List list : {&Config::getenv_allow, &Config::io_allow,
+                          &Config::durable_write_allow,
+                          &Config::raw_alloc_allow}) {
+    ASSERT_FALSE((full.*list).empty());
+    for (std::size_t i = 0; i < (full.*list).size(); ++i) {
+      Config cfg = full;
+      const std::string entry = (cfg.*list)[i];
+      (cfg.*list).erase((cfg.*list).begin() +
+                        static_cast<std::ptrdiff_t>(i));
+      const auto findings = check_sources(repo_sources(Gate::kLint), cfg);
+      EXPECT_TRUE(std::any_of(findings.begin(), findings.end(),
+                              [&](const Finding& f) {
+                                return f.file == entry;
+                              }))
+          << entry << " is in scripts/lint_allowlist.json but no file"
+          << " needs it";
+    }
+  }
+}
+
+TEST(RepoGates, EveryAuditedPurityEntryIsNeeded) {
+  const PurityConfig full = repo_purity_config();
+  ASSERT_FALSE(full.audited.empty());
+  for (std::size_t i = 0; i < full.audited.size(); ++i) {
+    PurityConfig cfg = full;
+    cfg.audited.erase(cfg.audited.begin() + static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(
+        purity_clean(analyze_purity(repo_sources(Gate::kPurity), cfg)))
+        << full.audited[i].function
+        << " is in scripts/purity_allowlist.json but guards nothing";
+  }
+}
+
+TEST(RepoGates, MissingConfigFailsAndNamesTheFile) {
+  const std::string root = ::testing::TempDir() + "mmhand_lint_no_root";
+  Config cfg;
+  PurityConfig pcfg;
+  std::string error;
+  EXPECT_FALSE(load_lint_config(root, &cfg, &error));
+  EXPECT_NE(error.find("lint_allowlist.json"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(load_purity_config(root, &pcfg, &error));
+  EXPECT_NE(error.find("purity_allowlist.json"), std::string::npos)
+      << error;
 }
 
 }  // namespace

@@ -66,6 +66,12 @@ TEST(ServeConfig, RejectsMalformedSpecs) {
   EXPECT_THROW(serve::parse_serve_spec("deadline_ms"), Error);
   EXPECT_THROW(serve::parse_serve_spec("deadline_ms=0"), Error);
   EXPECT_THROW(serve::parse_serve_spec("shed_lo=0.8,shed_hi=0.2"), Error);
+  // Out-of-int-range integers must not wrap into valid values, and
+  // durations must stay finite and convertible to nanoseconds.
+  EXPECT_THROW(serve::parse_serve_spec("max_sessions=4294967297"), Error);
+  EXPECT_THROW(serve::parse_serve_spec("queue_cap=-4294967295"), Error);
+  EXPECT_THROW(serve::parse_serve_spec("deadline_ms=inf"), Error);
+  EXPECT_THROW(serve::parse_serve_spec("deadline_ms=1e300"), Error);
 }
 
 TEST(ServeConfig, TierNamesAreStable) {

@@ -2,18 +2,42 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <map>
 #include <sstream>
 
 #include "mmhand/common/json.hpp"
+#include "top/top_core.hpp"
 
 namespace mmhand::lint {
 
-namespace {
+namespace fs = std::filesystem;
 
 bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
+
+int line_of(const std::string& text, std::size_t pos) {
+  return 1 + static_cast<int>(std::count(text.begin(),
+                                         text.begin() +
+                                             static_cast<std::ptrdiff_t>(pos),
+                                         '\n'));
+}
+
+std::size_t find_ident(const std::string& text, const std::string& token,
+                       std::size_t from) {
+  std::size_t pos = from;
+  while ((pos = text.find(token, pos)) != std::string::npos) {
+    const bool left_ok = pos == 0 || !is_ident_char(text[pos - 1]);
+    const std::size_t after = pos + token.size();
+    const bool right_ok = after >= text.size() || !is_ident_char(text[after]);
+    if (left_ok && right_ok) return pos;
+    pos = after;
+  }
+  return std::string::npos;
+}
+
+namespace {
 
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -26,28 +50,6 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 bool contains(const std::vector<std::string>& list, const std::string& s) {
   return std::find(list.begin(), list.end(), s) != list.end();
-}
-
-int line_of(const std::string& text, std::size_t pos) {
-  return 1 + static_cast<int>(std::count(text.begin(),
-                                         text.begin() +
-                                             static_cast<std::ptrdiff_t>(pos),
-                                         '\n'));
-}
-
-/// Offset of the first whole-identifier occurrence of `token` at or
-/// after `from`; npos when absent.
-std::size_t find_ident(const std::string& text, const std::string& token,
-                       std::size_t from) {
-  std::size_t pos = from;
-  while ((pos = text.find(token, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !is_ident_char(text[pos - 1]);
-    const std::size_t after = pos + token.size();
-    const bool right_ok = after >= text.size() || !is_ident_char(text[after]);
-    if (left_ok && right_ok) return pos;
-    pos = after;
-  }
-  return std::string::npos;
 }
 
 /// The rest of the line starting at `pos` (for "does this call mention
@@ -116,8 +118,7 @@ void check_direct_io(const std::string& path, const std::string& stripped,
 }
 
 void check_rng(const std::string& path, const std::string& stripped,
-               const Config& cfg, std::vector<Finding>& out) {
-  if (contains(cfg.rng_allow, path)) return;
+               std::vector<Finding>& out) {
   const char* rule = "no-unseeded-rng";
   const std::string route =
       "; draw from an explicitly seeded mmhand::Rng (common/rng)";
@@ -317,29 +318,6 @@ void check_env_docs(const std::string& path, const std::string& raw,
 
 }  // namespace
 
-Config default_config() {
-  Config cfg;
-  cfg.getenv_allow = {
-      "src/mmhand/obs/state.cpp",    "src/mmhand/common/parallel.cpp",
-      "src/mmhand/obs/log.cpp",      "src/mmhand/obs/numeric.cpp",
-      "src/mmhand/eval/model_cache.cpp", "src/mmhand/obs/pmu.cpp",
-  };
-  cfg.io_allow = {
-      "src/mmhand/eval/table_printer.cpp",
-  };
-  cfg.rng_allow = {
-      "src/mmhand/common/rng.hpp",
-      "src/mmhand/common/rng.cpp",
-  };
-  cfg.durable_write_allow = {
-      "src/mmhand/common/io_safe.cpp",
-  };
-  cfg.raw_alloc_allow = {
-      "src/mmhand/obs/alloc.cpp",
-  };
-  return cfg;
-}
-
 bool parse_allowlist_json(const std::string& text, Config* cfg,
                           std::string* error) {
   std::string parse_error;
@@ -354,13 +332,13 @@ bool parse_allowlist_json(const std::string& text, Config* cfg,
   }
   const auto load = [&](const char* key, std::vector<std::string>* dst,
                         std::string* err) {
+    dst->clear();
     const json::Value* v = root.find(key);
-    if (v == nullptr) return true;  // key optional; keep defaults
+    if (v == nullptr) return true;  // absent key: empty list
     if (!v->is_array()) {
       *err = std::string("allowlist: \"") + key + "\" must be an array";
       return false;
     }
-    dst->clear();
     for (const json::Value& item : v->as_array()) {
       if (!item.is_string()) {
         *err = std::string("allowlist: \"") + key +
@@ -374,11 +352,64 @@ bool parse_allowlist_json(const std::string& text, Config* cfg,
   std::string err;
   if (!load("getenv", &cfg->getenv_allow, &err) ||
       !load("direct_io", &cfg->io_allow, &err) ||
-      !load("raw_rng", &cfg->rng_allow, &err) ||
       !load("durable_write", &cfg->durable_write_allow, &err) ||
       !load("raw_alloc", &cfg->raw_alloc_allow, &err)) {
     if (error != nullptr) *error = err;
     return false;
+  }
+  return true;
+}
+
+bool load_lint_config(const std::string& root, Config* cfg,
+                      std::string* error) {
+  const std::string allowlist =
+      (fs::path(root) / "scripts" / "lint_allowlist.json").string();
+  const std::string readme = (fs::path(root) / "README.md").string();
+  std::string text, err;
+  if (!top::load_text(allowlist, &text, error)) return false;
+  if (!parse_allowlist_json(text, cfg, &err)) {
+    if (error != nullptr) *error = allowlist + ": " + err;
+    return false;
+  }
+  if (!top::load_text(readme, &text, error)) return false;
+  cfg->documented_env = extract_documented_env(text);
+  return true;
+}
+
+bool read_sources(const std::string& root, Gate gate,
+                  const std::vector<std::string>& targets, Sources* out,
+                  std::string* error) {
+  const bool purity = gate == Gate::kPurity;
+  std::vector<std::string> walk = targets;
+  if (walk.empty())
+    walk = purity ? std::vector<std::string>{"src/mmhand"}
+                  : std::vector<std::string>{"src", "tests", "bench",
+                                             "tools"};
+  const auto wanted = [&](const fs::path& path) {
+    const std::string ext = path.extension().string();
+    return ext == ".cpp" || ext == ".hpp" || ext == ".h" ||
+           (purity && ext == ".inl");
+  };
+  std::vector<fs::path> files;
+  for (const std::string& target : walk) {
+    const fs::path base = fs::path(target).is_absolute()
+                              ? fs::path(target)
+                              : fs::path(root) / target;
+    if (fs::is_regular_file(base)) {
+      files.push_back(base);
+    } else if (fs::is_directory(base)) {
+      for (const auto& entry : fs::recursive_directory_iterator(base))
+        if (entry.is_regular_file() && wanted(entry.path()))
+          files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  out->clear();
+  for (const fs::path& file : files) {
+    std::string content;
+    if (!top::load_text(file.string(), &content, error)) return false;
+    out->emplace_back(fs::relative(file, root).generic_string(),
+                      std::move(content));
   }
   return true;
 }
@@ -507,7 +538,7 @@ std::vector<Finding> check_file(const std::string& path,
   if (in_library) {
     check_getenv(path, stripped, cfg, out);
     check_direct_io(path, stripped, cfg, out);
-    check_rng(path, stripped, cfg, out);
+    check_rng(path, stripped, out);
     check_raw_alloc(path, stripped, cfg, out);
     check_simd_confinement(path, stripped, out);
     check_pmu_confinement(path, stripped, out);
@@ -521,6 +552,16 @@ std::vector<Finding> check_file(const std::string& path,
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return a.line != b.line ? a.line < b.line : a.rule < b.rule;
   });
+  return out;
+}
+
+std::vector<Finding> check_sources(const Sources& sources,
+                                   const Config& cfg) {
+  std::vector<Finding> out;
+  for (const auto& [path, content] : sources) {
+    const std::vector<Finding> found = check_file(path, content, cfg);
+    out.insert(out.end(), found.begin(), found.end());
+  }
   return out;
 }
 

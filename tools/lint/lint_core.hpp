@@ -14,11 +14,13 @@
 //
 // The checks run on file *contents* passed in as strings, so tests can
 // exercise each rule on small fixtures without touching the tree.  The
-// CLI driver (tools/mmhand_lint.cpp) handles walking, allowlist
-// loading, and README parsing.
+// config loaders and the tree walk live here too, so the CLI driver
+// (tools/mmhand_lint.cpp) and tests/test_lint.cpp run the gates on the
+// same lists and the same files.
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mmhand::lint {
@@ -38,8 +40,6 @@ struct Config {
   /// Files under src/mmhand/ (beyond obs/) permitted direct console
   /// output (rule no-direct-io) — the sanctioned eval printers.
   std::vector<std::string> io_allow;
-  /// Files permitted raw RNG sources (rule no-unseeded-rng).
-  std::vector<std::string> rng_allow;
   /// Files permitted to open binary write streams directly (rule
   /// durable-write) — the durable-IO layer itself.
   std::vector<std::string> durable_write_allow;
@@ -51,16 +51,47 @@ struct Config {
   std::vector<std::string> documented_env;
 };
 
-/// The allowlist shipped in scripts/lint_allowlist.json, compiled in as
-/// a fallback so the binary still runs without the file.
-Config default_config();
-
-/// Merges scripts/lint_allowlist.json (keys "getenv", "direct_io",
-/// "raw_rng", "durable_write", "raw_alloc": arrays of paths) into
-/// `cfg`.  Returns
-/// false and sets `*error` on malformed input.
+/// Replaces the allowlists in `*cfg` with those in
+/// scripts/lint_allowlist.json text (keys "getenv", "direct_io",
+/// "durable_write", "raw_alloc": arrays of paths; an absent key is an
+/// empty list).  Returns false and sets `*error` on malformed input.
 bool parse_allowlist_json(const std::string& text, Config* cfg,
                           std::string* error);
+
+/// The lint config of the tree at `root`: the allowlists in
+/// <root>/scripts/lint_allowlist.json and the env names documented in
+/// <root>/README.md.  Returns false and sets `*error`, naming the
+/// file, when either is missing, unreadable or malformed.
+bool load_lint_config(const std::string& root, Config* cfg,
+                      std::string* error);
+
+/// (repo-relative path, content) pairs: what both gates run on.
+using Sources = std::vector<std::pair<std::string, std::string>>;
+
+/// Which gate a tree walk feeds; it picks the default targets and the
+/// extension set.
+enum class Gate {
+  kLint,    ///< src/ tests/ bench/ tools/: .cpp .hpp .h
+  kPurity,  ///< src/mmhand/: .cpp .hpp .h .inl (kernel bodies)
+};
+
+/// Reads every file of the gate's extension set under `targets` (files
+/// or directories, relative to `root` or absolute; empty means the
+/// gate's defaults), sorted by path.  Absent targets are skipped, so a
+/// partial checkout still lints.  Returns false and sets `*error` on an
+/// unreadable file.
+bool read_sources(const std::string& root, Gate gate,
+                  const std::vector<std::string>& targets, Sources* out,
+                  std::string* error);
+
+/// Lexing helpers the purity analyzer shares.
+bool is_ident_char(char c);
+/// 1-based line of offset `pos`.
+int line_of(const std::string& text, std::size_t pos);
+/// Offset of the first whole-identifier occurrence of `token` at or
+/// after `from`; npos when absent.
+std::size_t find_ident(const std::string& text, const std::string& token,
+                       std::size_t from);
 
 /// Replaces comments and string/char literal contents with spaces,
 /// preserving line structure, so token scans don't fire inside them.
@@ -71,6 +102,10 @@ std::string strip_comments_and_strings(const std::string& src);
 std::vector<Finding> check_file(const std::string& path,
                                 const std::string& content,
                                 const Config& cfg);
+
+/// check_file() over every source, findings in source order — one run
+/// of the lint gate.
+std::vector<Finding> check_sources(const Sources& sources, const Config& cfg);
 
 /// Extracts the MMHAND_* names mentioned anywhere in the README text —
 /// the documented set rule env-var-docs checks literals against.

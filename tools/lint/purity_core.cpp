@@ -3,47 +3,25 @@
 #include <algorithm>
 #include <cctype>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "lint/lint_core.hpp"
 #include "mmhand/common/json.hpp"
+#include "top/top_core.hpp"
 
 namespace mmhand::lint {
 
 namespace {
 
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
 bool space_char(char c) {
   return std::isspace(static_cast<unsigned char>(c)) != 0;
 }
 
-int line_at(const std::string& text, std::size_t pos) {
-  return 1 + static_cast<int>(std::count(text.begin(),
-                                         text.begin() +
-                                             static_cast<std::ptrdiff_t>(pos),
-                                         '\n'));
-}
-
-std::size_t find_whole(const std::string& text, const std::string& token,
-                       std::size_t from) {
-  std::size_t pos = from;
-  while ((pos = text.find(token, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !ident_char(text[pos - 1]);
-    const std::size_t after = pos + token.size();
-    const bool right_ok = after >= text.size() || !ident_char(text[after]);
-    if (left_ok && right_ok) return pos;
-    pos = after;
-  }
-  return std::string::npos;
-}
-
 bool has_whole(const std::string& text, const std::string& token) {
-  return find_whole(text, token, 0) != std::string::npos;
+  return find_ident(text, token, 0) != std::string::npos;
 }
 
 // ---- deny classes ---------------------------------------------------
@@ -125,7 +103,7 @@ void blank_directives(std::string* text, std::vector<MacroDef>* macros) {
       p += 6;
       while (p < directive.size() && space_char(directive[p])) ++p;
       std::size_t name_end = p;
-      while (name_end < directive.size() && ident_char(directive[name_end]))
+      while (name_end < directive.size() && is_ident_char(directive[name_end]))
         ++name_end;
       if (name_end > p && name_end < directive.size() &&
           directive[name_end] == '(') {
@@ -134,7 +112,7 @@ void blank_directives(std::string* text, std::vector<MacroDef>* macros) {
           MacroDef m;
           m.name = directive.substr(p, name_end - p);
           m.body = directive.substr(close + 1);
-          m.line = line_at(s, line_start + p);
+          m.line = line_of(s, line_start + p);
           macros->push_back(std::move(m));
         }
       }
@@ -160,7 +138,7 @@ std::string strip_template_preamble(std::string ctx) {
     std::size_t t = 0;
     while (t < ctx.size() && space_char(ctx[t])) ++t;
     if (ctx.compare(t, 8, "template") != 0 ||
-        (t + 8 < ctx.size() && ident_char(ctx[t + 8])))
+        (t + 8 < ctx.size() && is_ident_char(ctx[t + 8])))
       return ctx;
     std::size_t lt = ctx.find('<', t);
     if (lt == std::string::npos) return ctx;
@@ -244,10 +222,10 @@ CtxInfo classify_context(const std::string& raw_ctx) {
       if (prev != '=' && prev != '!' && prev != '<' && prev != '>' &&
           next != '=')
         top_level_eq = true;
-    } else if (depth == 0 && ident_char(c) && first_kw.empty() &&
-               (i == 0 || !ident_char(ctx[i - 1]))) {
+    } else if (depth == 0 && is_ident_char(c) && first_kw.empty() &&
+               (i == 0 || !is_ident_char(ctx[i - 1]))) {
       std::size_t e = i;
-      while (e < ctx.size() && ident_char(ctx[e])) ++e;
+      while (e < ctx.size() && is_ident_char(ctx[e])) ++e;
       const std::string word = ctx.substr(i, e - i);
       if (word == "namespace" || word == "class" || word == "struct" ||
           word == "union" || word == "enum")
@@ -261,7 +239,7 @@ CtxInfo classify_context(const std::string& raw_ctx) {
     std::size_t e = ctx.size();
     while (e > 0 && space_char(ctx[e - 1])) --e;
     std::size_t b = e;
-    while (b > 0 && (ident_char(ctx[b - 1]) || ctx[b - 1] == ':')) --b;
+    while (b > 0 && (is_ident_char(ctx[b - 1]) || ctx[b - 1] == ':')) --b;
     std::string name = ctx.substr(b, e - b);
     if (name == "namespace" || name == "inline") name.clear();
     info.name = name;
@@ -273,11 +251,11 @@ CtxInfo classify_context(const std::string& raw_ctx) {
     info.kind = CtxInfo::kType;
     // Name = first ident after the keyword (skipping "class" of
     // `enum class` and attributes).
-    std::size_t pos = find_whole(ctx, first_kw, 0) + first_kw.size();
+    std::size_t pos = find_ident(ctx, first_kw, 0) + first_kw.size();
     while (pos < ctx.size()) {
-      while (pos < ctx.size() && !ident_char(ctx[pos])) ++pos;
+      while (pos < ctx.size() && !is_ident_char(ctx[pos])) ++pos;
       std::size_t e = pos;
-      while (e < ctx.size() && ident_char(ctx[e])) ++e;
+      while (e < ctx.size() && is_ident_char(ctx[e])) ++e;
       const std::string word = ctx.substr(pos, e - pos);
       if (word.empty()) break;
       if (word != "class" && word != "struct" && word != "final" &&
@@ -298,7 +276,7 @@ CtxInfo classify_context(const std::string& raw_ctx) {
   std::size_t e = first_open;
   while (e > 0 && space_char(ctx[e - 1])) --e;
   std::size_t b = e;
-  while (b > 0 && (ident_char(ctx[b - 1]) || ctx[b - 1] == ':')) --b;
+  while (b > 0 && (is_ident_char(ctx[b - 1]) || ctx[b - 1] == ':')) --b;
   std::string name = ctx.substr(b, e - b);
   while (!name.empty() && name.front() == ':') name.erase(name.begin());
   if (name.empty()) return info;
@@ -332,9 +310,9 @@ CtxInfo classify_context(const std::string& raw_ctx) {
       ++i;
       continue;
     }
-    if (!ident_char(c)) return info;
+    if (!is_ident_char(c)) return info;
     std::size_t we = i;
-    while (we < ctx.size() && ident_char(ctx[we])) ++we;
+    while (we < ctx.size() && is_ident_char(ctx[we])) ++we;
     if (quals.count(ctx.substr(i, we - i)) == 0) return info;
     i = we;
   }
@@ -391,7 +369,7 @@ void index_file(int file_idx, const std::string& text,
       if (info.kind == CtxInfo::kFunction) {
         cur = FnDef{};
         cur.file = file_idx;
-        cur.line = line_at(text, ctx_start);
+        cur.line = line_of(text, ctx_start);
         cur.realtime = info.realtime;
         cur.body_begin = i + 1;
         std::string qual;
@@ -432,16 +410,16 @@ std::vector<std::string> extract_calls(const std::string& body) {
   std::vector<std::string> out;
   std::size_t i = 0;
   while (i < body.size()) {
-    if (!ident_char(body[i]) || (i > 0 && ident_char(body[i - 1]))) {
+    if (!is_ident_char(body[i]) || (i > 0 && is_ident_char(body[i - 1]))) {
       ++i;
       continue;
     }
     // Read an ident path: ident (:: ident)*
     std::size_t start = i;
     for (;;) {
-      while (i < body.size() && ident_char(body[i])) ++i;
+      while (i < body.size() && is_ident_char(body[i])) ++i;
       if (i + 1 < body.size() && body[i] == ':' && body[i + 1] == ':' &&
-          i + 2 < body.size() && ident_char(body[i + 2]))
+          i + 2 < body.size() && is_ident_char(body[i + 2]))
         i += 2;
       else
         break;
@@ -482,32 +460,6 @@ bool is_audited(const FnDef& def, const PurityConfig& cfg,
 
 }  // namespace
 
-PurityConfig default_purity_config() {
-  // Mirrors scripts/purity_allowlist.json; keep the two in sync.
-  PurityConfig cfg;
-  const auto add = [&](const char* fn, const char* why) {
-    cfg.audited.push_back({fn, why});
-  };
-  add("mmhand::parallel_for",
-      "fan-out primitive; pool internals are warm-up-only and share "
-      "terminal names with hot-path methods");
-  add("MMHAND_CHECK", "cold contract-failure path; throws by design");
-  add("MMHAND_ASSERT", "cold contract-failure path; throws by design");
-  add("MMHAND_SPAN", "obs span; inert two relaxed loads when disabled");
-  add("obs::counter", "registry lookup bound to a function-local static");
-  add("obs::histogram", "registry lookup bound to a function-local static");
-  add("obs::metrics_enabled", "one relaxed load after first call");
-  add("obs::FrameScope", "inert when observability is off; context "
-      "allocation is the observability tax, measured by the interposer");
-  add("simd::kernels", "dispatch table; init-once, then a relaxed load");
-  add("simd::active_isa", "init-once env resolution, then a relaxed load");
-  add("radar::frame_workspace", "grow-on-demand thread-local workspace");
-  add("radar::RadarCube::reset", "grow-only storage reuse");
-  add("nn::im2col_scratch", "grow-on-demand thread-local scratch");
-  add("nn::pack_scratch", "grow-on-demand thread-local scratch");
-  return cfg;
-}
-
 bool parse_purity_allowlist_json(const std::string& text, PurityConfig* cfg,
                                  std::string* error) {
   std::string parse_error;
@@ -522,7 +474,10 @@ bool parse_purity_allowlist_json(const std::string& text, PurityConfig* cfg,
     return false;
   }
   const json::Value* v = root.find("audited");
-  if (v == nullptr) return true;
+  if (v == nullptr) {  // absent key: empty list
+    cfg->audited.clear();
+    return true;
+  }
   if (!v->is_array()) {
     if (error != nullptr)
       *error = "purity allowlist: \"audited\" must be an array";
@@ -543,6 +498,18 @@ bool parse_purity_allowlist_json(const std::string& text, PurityConfig* cfg,
   }
   cfg->audited = std::move(audited);
   return true;
+}
+
+bool load_purity_config(const std::string& root, PurityConfig* cfg,
+                        std::string* error) {
+  const std::string path =
+      (std::filesystem::path(root) / "scripts" / "purity_allowlist.json")
+          .string();
+  std::string text, err;
+  if (!top::load_text(path, &text, error)) return false;
+  if (parse_purity_allowlist_json(text, cfg, &err)) return true;
+  if (error != nullptr) *error = path + ": " + err;
+  return false;
 }
 
 PurityReport analyze_purity(
@@ -570,7 +537,7 @@ PurityReport analyze_purity(
       // a side table keyed by def index (body_begin/end unused).
       defs.push_back(def);
       // Reuse the stripped storage: append the body so offsets stay
-      // valid (newlines inside keep line_at usable for the macro file).
+      // valid (newlines inside keep line_of usable for the macro file).
       defs.back().body_begin = stripped[f].size();
       stripped[f] += m.body;
       defs.back().body_end = stripped[f].size();
@@ -617,7 +584,7 @@ PurityReport analyze_purity(
     for (const DenyClass& cls : deny_classes()) {
       for (const char* token : cls.tokens) {
         for (std::size_t pos = 0;
-             (pos = find_whole(body, token, pos)) != std::string::npos;
+             (pos = find_ident(body, token, pos)) != std::string::npos;
              pos += std::char_traits<char>::length(token)) {
           PurityHit hit;
           hit.root = root;
@@ -626,7 +593,7 @@ PurityReport analyze_purity(
           hit.file = files[static_cast<std::size_t>(def.file)].first;
           hit.line = def.is_macro
                          ? def.line
-                         : line_at(stripped[static_cast<std::size_t>(
+                         : line_of(stripped[static_cast<std::size_t>(
                                        def.file)],
                                    def.body_begin + pos);
           hit.category = cls.category;

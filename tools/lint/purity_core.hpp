@@ -73,18 +73,22 @@ struct PurityReport {
   std::size_t unresolved_calls = 0;
 };
 
-/// The audited set shipped in scripts/purity_allowlist.json, compiled
-/// in as a fallback so the binary still runs without the file.
-PurityConfig default_purity_config();
-
-/// Merges scripts/purity_allowlist.json ({"audited": [{"function",
-/// "reason"}, ...]}) into `cfg`.  Returns false and sets `*error` on
-/// malformed input.
+/// Replaces `cfg->audited` with the entries of scripts/
+/// purity_allowlist.json text ({"audited": [{"function", "reason"},
+/// ...]}; an absent key is an empty list).  Returns false and sets
+/// `*error` on malformed input.
 bool parse_purity_allowlist_json(const std::string& text, PurityConfig* cfg,
                                  std::string* error);
 
-/// Runs the analysis over (path, content) pairs — the caller walks the
-/// tree (or supplies fixtures in tests).
+/// The purity config of the tree at `root`, read from
+/// <root>/scripts/purity_allowlist.json.  Returns false and sets
+/// `*error`, naming the file, when it is missing, unreadable or
+/// malformed.
+bool load_purity_config(const std::string& root, PurityConfig* cfg,
+                        std::string* error);
+
+/// Runs the analysis over (path, content) pairs — read_sources() with
+/// Gate::kPurity, or fixtures in tests.
 PurityReport analyze_purity(
     const std::vector<std::pair<std::string, std::string>>& files,
     const PurityConfig& cfg);
