@@ -6,11 +6,12 @@
 #      lock, throw, stream I/O, or blocking syscall that is not on the
 #      audited allowlist (scripts/purity_allowlist.json).
 #   2. runtime: mmhand_purity_probe runs warmed-up steady-state radar
-#      frames with the operator-new interposer (obs/alloc) counting and
-#      fails if any frame allocates.  This closes the analyzer's blind
-#      spots — value construction and function-pointer calls — and is
-#      run at 1 and 4 pool threads so per-worker scratch warm-up is
-#      covered both ways.
+#      frames, pose forwards and served frames (a manual-step server's
+#      submits and feature passes, also of all-zero frames) with the
+#      operator-new interposer (obs/alloc) counting and fails if any of
+#      them allocates.  This closes the analyzer's blind spots — value
+#      construction and function-pointer calls — and is run at 1 and 4
+#      pool threads so per-worker scratch warm-up is covered both ways.
 #
 # Usage: scripts/check_purity.sh [build-dir]   (default: build)
 set -euo pipefail

@@ -188,6 +188,11 @@ class ThreadPool {
 
 int num_threads() { return ThreadPool::instance().target_threads(); }
 
+std::int64_t fan_out_indices() {
+  const int threads = num_threads();
+  return threads <= 1 ? 1 : kMinIndicesPerThread * threads;
+}
+
 void set_num_threads(int n) {
   MMHAND_CHECK(n >= 1, "set_num_threads(" << n << ")");
   ThreadPool::instance().set_target(n);

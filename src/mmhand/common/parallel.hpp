@@ -27,6 +27,12 @@ namespace mmhand {
 /// Number of threads `parallel_for` currently targets (>= 1).
 int num_threads();
 
+/// The fewest indices a `parallel_for` needs to run on every target
+/// thread, or 1 when the target is one thread (nothing fans out).  A
+/// caller that picks how much work one `parallel_for` gets uses it to
+/// keep the fan-out while bounding the work, and memory, per call.
+std::int64_t fan_out_indices();
+
 /// Overrides the target thread count at runtime (clamped to [1, 256]).
 /// The pool grows on demand; shrinking only idles workers.  Safe to call
 /// between parallel regions; do not call from inside a `parallel_for` body.

@@ -1,7 +1,10 @@
 #include "mmhand/pose/joint_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mmhand/common/realtime.hpp"
@@ -18,13 +21,68 @@ MmSpaceNetConfig resolve_spacenet(const PoseNetConfig& config) {
   return sn;
 }
 
-/// Per-thread staging for the per-frame median (nth_element mutates its
-/// input).  Grown on demand; capacity is retained so steady-state frame
-/// normalization never allocates.
-std::vector<float>& cube_median_scratch(std::size_t floats) {
+/// Per-thread staging for the cells of the median's histogram bin
+/// (nth_element mutates its input).  Grown on demand (audited in
+/// scripts/purity_allowlist.json); capacity is retained so steady-state
+/// frame normalization never allocates.
+float* cube_median_scratch(std::size_t floats) {
   thread_local std::vector<float> buf;
-  if (buf.capacity() < floats) buf.reserve(floats);
-  return buf;
+  if (buf.size() < floats) buf.resize(floats);
+  return buf.data();
+}
+
+/// The cell's bits as an unsigned key in the float order: a
+/// non-negative float sets the top bit, a negative one flips every bit
+/// (so -0 sorts just below +0, which the float order treats as equal).
+std::uint32_t order_key(float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  const std::uint32_t sign = static_cast<std::uint32_t>(
+      static_cast<std::int32_t>(bits) >> 31);
+  return bits ^ (sign | 0x80000000u);
+}
+
+/// Element n/2 of the cells in float order: exactly what nth_element
+/// over all of them returns, at a fraction of the cost.  A histogram of
+/// the keys' top 12 bits finds the bin that holds the element, and
+/// nth_element runs only over that bin's cells.
+float cube_median(const float* cells, std::size_t n) {
+  constexpr int kShift = 20;  // 4,096 bins
+  std::array<std::uint32_t, (1u << (32 - kShift))> hist{};
+  for (std::size_t i = 0; i < n; ++i) ++hist[order_key(cells[i]) >> kShift];
+  const std::size_t rank = n / 2;
+  std::size_t below = 0;
+  std::uint32_t bin = 0;
+  while (below + hist[bin] <= rank) below += hist[bin++];
+  // Branch-free compaction: every cell is written, and only the bin's
+  // cells advance the cursor, so the buffer needs one slot of slack.
+  // It is sized for every cell, not for this bin, so a frame whose
+  // median bin is fuller than any before it (an all-zero or railed
+  // frame) does not grow it in steady state.
+  float* bucket = cube_median_scratch(n + 1);
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bucket[m] = cells[i];
+    m += order_key(cells[i]) >> kShift == bin;
+  }
+  std::nth_element(bucket, bucket + (rank - below), bucket + m);
+  return bucket[rank - below];
+}
+
+/// Noise-floor subtraction, the one body behind write_cube_frame and
+/// normalize_cube_frame: most cube cells hold thermal-noise speckle
+/// whose log-magnitude fluctuations would dominate the input energy; the
+/// per-frame median estimates that floor robustly (the hand occupies
+/// only a small fraction of cells), and clamping at zero leaves a
+/// sparse, signal-only tensor for the network.  `dst` may be `src`.
+void normalize_cells(const float* src, std::size_t n,
+                     const PoseNetConfig& config, float* dst) {
+  if (n == 0) return;
+  const float floor = config.noise_floor_scale * cube_median(src, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = std::max(0.0f, src[i] - floor);
+    dst[i] = v * config.cube_scale + config.cube_offset;
+  }
 }
 
 }  // namespace
@@ -211,34 +269,30 @@ void HandJointRegressor::load(const std::string& path) {
   nn::load_parameters(parameters(), r);
 }
 
-MMHAND_REALTIME
-void write_cube_frame(const radar::RadarCube& cube,
-                      const PoseNetConfig& config, float* dst) {
+void check_cube_dims(const radar::RadarCube& cube,
+                     const PoseNetConfig& config) {
   MMHAND_CHECK(cube.velocity_bins() == config.velocity_bins &&
                    cube.range_bins() == config.range_bins &&
                    cube.angle_bins() == config.angle_bins,
                "cube dims " << cube.velocity_bins() << "x"
                             << cube.range_bins() << "x" << cube.angle_bins()
                             << " do not match the network config");
-  const auto& data = cube.data();
-  // Noise-floor subtraction: most cube cells hold thermal-noise speckle
-  // whose log-magnitude fluctuations would dominate the input energy; the
-  // per-frame median estimates that floor robustly (the hand occupies only
-  // a small fraction of cells), and clamping at zero leaves a sparse,
-  // signal-only tensor for the network.  The nth_element staging buffer
-  // is per-thread grow-on-demand scratch (audited in
-  // scripts/purity_allowlist.json) so steady-state serving ingests
-  // frames without allocating.
-  std::vector<float>& sorted = cube_median_scratch(data.size());
-  sorted.assign(data.begin(), data.end());
-  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
-                   sorted.end());
-  const float floor =
-      config.noise_floor_scale * sorted[sorted.size() / 2];
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const float v = std::max(0.0f, data[i] - floor);
-    dst[i] = v * config.cube_scale + config.cube_offset;
-  }
+}
+
+MMHAND_REALTIME
+void write_cube_frame(const radar::RadarCube& cube,
+                      const PoseNetConfig& config, float* dst) {
+  check_cube_dims(cube, config);
+  normalize_cells(cube.data().data(), cube.data().size(), config, dst);
+}
+
+MMHAND_REALTIME
+void normalize_cube_frame(const PoseNetConfig& config, float* frame) {
+  normalize_cells(frame,
+                  static_cast<std::size_t>(config.velocity_bins) *
+                      static_cast<std::size_t>(config.range_bins) *
+                      static_cast<std::size_t>(config.angle_bins),
+                  config, frame);
 }
 
 }  // namespace mmhand::pose

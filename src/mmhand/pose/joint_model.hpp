@@ -102,9 +102,18 @@ class HandJointRegressor {
   int flat_features_ = 0;
 };
 
+/// Throws mmhand::Error unless the cube's dims are the config's.
+void check_cube_dims(const radar::RadarCube& cube,
+                     const PoseNetConfig& config);
+
 /// Converts a radar cube into a normalized [V, D, A] tensor slice laid out
 /// for the network (the frame dimension is stacked by the sample builder).
 void write_cube_frame(const radar::RadarCube& cube,
                       const PoseNetConfig& config, float* dst);
+
+/// write_cube_frame's normalization, in place: `frame` holds one
+/// frame's raw [V, D, A] cube cells at the config's dims and ends with
+/// the same bits write_cube_frame would write for that cube.
+void normalize_cube_frame(const PoseNetConfig& config, float* frame);
 
 }  // namespace mmhand::pose

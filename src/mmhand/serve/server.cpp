@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "mmhand/common/parallel.hpp"
 #include "mmhand/obs/obs.hpp"
 #include "mmhand/pose/samples.hpp"
 
@@ -224,11 +225,13 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
     return {false, false, config_.retry_ms * (1.0 + pressure_locked())};
   }
 
+  // The raw cells only: the scheduler normalizes a frame just before it
+  // runs mmSpaceNet on it, outside the lock.
+  pose::check_cube_dims(cube, model_.config());
   if (s.frames_filled == 0) s.first_frame = s.next_frame;
-  write_cube_frame(cube, model_.config(),
-                   s.store.frames.data() +
-                       static_cast<std::size_t>(s.frames_filled) *
-                           frame_elems_);
+  std::copy(cube.data().begin(), cube.data().end(),
+            s.store.frames.data() +
+                static_cast<std::size_t>(s.frames_filled) * frame_elems_);
   ++s.frames_filled;
   ++s.next_frame;
   ++stats_.frames_accepted;
@@ -450,17 +453,36 @@ int Server::step() {
     resolved += run_batch(batch_tier);
   } else if (!frames.empty()) {
     // Idle time: features of frames in still-filling windows.
-    nn::Tensor features;
+    nn::Tensor features({frames.dim(0), static_cast<int>(feature_elems_)});
     {
       obs::FrameScope frame("serve/frame_features");
       MMHAND_SPAN("serve/frame_features");
-      features = model_.frame_features(frames);
+      features_of(frames.data(), frames.dim(0), features.data());
     }
     std::lock_guard<std::mutex> lk(mu_);
     attach_features_locked(features);
   }
   if (resolved > 0) drain_cv_.notify_all();
   return resolved;
+}
+
+void Server::features_of(const float* raw, int count, float* rows) const {
+  const auto& pc = model_.config();
+  const int chunk = static_cast<int>(
+      std::min<std::int64_t>(std::max(count, 1), fan_out_indices()));
+  for (int first = 0; first < count; first += chunk) {
+    const int n = std::min(chunk, count - first);
+    nn::Tensor frames({n, pc.velocity_bins, pc.range_bins, pc.angle_bins});
+    std::copy(raw + static_cast<std::size_t>(first) * frame_elems_,
+              raw + static_cast<std::size_t>(first + n) * frame_elems_,
+              frames.data());
+    for (int f = 0; f < n; ++f)
+      pose::normalize_cube_frame(
+          pc, frames.data() + static_cast<std::size_t>(f) * frame_elems_);
+    const nn::Tensor features = model_.frame_features(frames);
+    std::copy(features.data(), features.data() + features.numel(),
+              rows + static_cast<std::size_t>(first) * feature_elems_);
+  }
 }
 
 int Server::run_batch(Tier batch_tier) {
@@ -490,7 +512,8 @@ int Server::run_batch(Tier batch_tier) {
             static_cast<std::size_t>(w.store.featured) * frame_elems_;
         dst = std::copy(v.data() + first, v.data() + v.size(), dst);
       }
-      const nn::Tensor fresh = model_.frame_features(frames);
+      nn::Tensor fresh({missing, static_cast<int>(feature_elems_)});
+      features_of(frames.data(), missing, fresh.data());
       const float* src = fresh.data();
       for (ReadyWindow& w : batch_) {
         std::vector<float>& v = w.store.features;

@@ -34,7 +34,11 @@
 // (`HandJointRegressor::frame_features`).  A completed window then runs
 // mmSpaceNet only over its frames without features (usually the last
 // one) before the segment/LSTM head and the mesh.  A frame's features
-// are bitwise the same in any pass, so results do not change.
+// are bitwise the same in any pass, so results do not change.  Windows
+// store raw cube frames: submit is a copy, and the scheduler normalizes
+// each frame (pose::normalize_cube_frame) just before it runs
+// mmSpaceNet on it, outside the lock, in calls just large enough to fan
+// out over the pool (one frame at pool width 1).
 //
 // Threading: one mutex guards all queue state; the NN work runs
 // outside the lock (only the scheduler executes it).  A window's frame
@@ -153,7 +157,8 @@ class Server {
   /// discarded.  Unknown ids are ignored (idempotent).
   void leave(SessionId id);
 
-  /// Streams one radar cube frame into a session's current window.
+  /// Streams one radar cube frame into a session's current window: the
+  /// raw cells are copied, normalization happens on the scheduler.
   /// When the frame completes a window, the window enters the ready
   /// queue (or is shed per policy if bounds are hit).
   SubmitResult submit(SessionId id, const radar::RadarCube& cube);
@@ -187,7 +192,7 @@ class Server {
   /// the submitting thread's session to the scheduler, so it recycles
   /// through the server's free list, not a thread-local tensor pool.
   struct WindowStore {
-    std::vector<float> frames;    ///< [S*st, V, D, A] normalized frames
+    std::vector<float> frames;    ///< [S*st, V, D, A] raw cube frames
     std::vector<float> features;  ///< [S*st, frame_feature_numel]
     int featured = 0;  ///< leading frames whose features are set or
                        ///< claimed by the running feature pass
@@ -236,6 +241,16 @@ class Server {
   bool features_pending_locked() const;
   nn::Tensor claim_features_locked();
   void attach_features_locked(const nn::Tensor& features);
+  /// mmSpaceNet features of `count` raw cube frames at `raw` into
+  /// `rows` ([count, frame_feature_numel]), outside the lock.  Frames
+  /// are normalized (pose::normalize_cube_frame) into a staging tensor
+  /// and run `fan_out_indices()` at a time: enough for the
+  /// convolutions' per-frame `parallel_for` to use every pool thread,
+  /// and one frame at pool width 1.  The activations, with the buffers
+  /// the scheduler's tensor pool keeps, stay that many frames' size
+  /// however many frames are pending.  A frame's features are the same
+  /// bits in any pass.
+  void features_of(const float* raw, int count, float* rows) const;
   int run_batch(Tier tier);
 
   const ServeConfig config_;

@@ -140,16 +140,33 @@ TEST(Fuzz, ServeAndFaultSpecs) {
           "policy=", "shed_hi=", "shed_lo=", "hold=", "retry_ms=",
           "drop_frame=", "bit_flip=", "stall=", "reject_new"})
       d.push_back(key);
+    // Duplicate keys and extreme values.
+    for (const char* token :
+         {",deadline_ms=", ",max_inflight=", ",queue_cap=", ",shed_hi=",
+          ",retry_ms=", ",seed=", "1e12", "1e13", "-1e300", "-inf", "NaN",
+          "0x7fffffff", "2147483648", "-2147483649", "4294967297", "1e-320",
+          "drop_oldest"})
+      d.push_back(token);
     return d;
   }();
+  // A serve spec either throws mmhand::Error or returns a config the
+  // server accepts; the sweep must reach both outcomes.
+  int returned = 0;
   fuzz(3,
        {"deadline_ms=12.5,max_sessions=4,max_inflight=9,queue_cap=2,"
         "batch_max=3,policy=reject_new,shed_hi=0.8,shed_lo=0.2,hold=2,"
         "retry_ms=3,seed=0x12",
-        "policy=drop_oldest"},
-       dict, 3000, [](const std::string& spec) {
-         returns_or_throws_error([&] { serve::parse_serve_spec(spec); });
+        "policy=drop_oldest", "deadline_ms=50,batch_max=8,deadline_ms=20",
+        "shed_lo=0.1,shed_hi=0.9,hold=1,retry_ms=0.25"},
+       dict, 2500, [&](const std::string& spec) {
+         returns_or_throws_error([&] {
+           const serve::ServeConfig config = serve::parse_serve_spec(spec);
+           ++returned;
+           EXPECT_NO_THROW(config.validate()) << "spec: " << spec;
+         });
        });
+  EXPECT_GT(returned, 100);
+  EXPECT_LT(returned, 9900);
   fuzz(4,
        {"drop_frame=0.1,gap=0.05,saturate=0.2,nan_burst=0.01,"
         "short_write=0.5,fsync_fail=0,bit_flip=1,seed=7",

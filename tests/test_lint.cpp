@@ -838,6 +838,25 @@ TEST(RepoGates, EveryAuditedPurityEntryIsNeeded) {
   }
 }
 
+TEST(RepoGates, OverlappingTargetsReadEachFileOnce) {
+  // The paths read_sources returns; contents follow the paths.
+  const auto paths = [](Gate gate, const std::vector<std::string>& targets) {
+    Sources sources;
+    std::string error;
+    EXPECT_TRUE(read_sources(LINT_REPO_ROOT, gate, targets, &sources, &error))
+        << error;
+    std::vector<std::string> out;
+    for (const auto& source : sources) out.push_back(source.first);
+    return out;
+  };
+  const std::vector<std::string> src = paths(Gate::kLint, {"src"});
+  ASSERT_FALSE(src.empty());
+  EXPECT_EQ(paths(Gate::kLint, {"src/mmhand/serve", "src", "./src"}), src);
+  EXPECT_EQ(paths(Gate::kLint, {"src/mmhand/serve/server.cpp", "src"}), src);
+  EXPECT_EQ(paths(Gate::kPurity, {"src/mmhand/pose", "src/mmhand"}),
+            paths(Gate::kPurity, {}));
+}
+
 TEST(RepoGates, MissingConfigFailsAndNamesTheFile) {
   const std::string root = ::testing::TempDir() + "mmhand_lint_no_root";
   Config cfg;

@@ -1,10 +1,15 @@
 // Tests for mmhand/pose: mmSpaceNet gradients, the kinematic loss, sample
-// assembly, training convergence on a tiny problem, and checkpointing.
+// assembly, cube-frame normalization against an nth_element oracle,
+// training convergence on a tiny problem, and checkpointing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "mmhand/hand/kinematics.hpp"
 #include "mmhand/nn/gradcheck.hpp"
@@ -14,6 +19,10 @@
 #include "mmhand/pose/mmspacenet.hpp"
 #include "mmhand/pose/samples.hpp"
 #include "mmhand/pose/trainer.hpp"
+#include "mmhand/radar/antenna_array.hpp"
+#include "mmhand/radar/chirp_config.hpp"
+#include "mmhand/radar/if_simulator.hpp"
+#include "mmhand/radar/pipeline.hpp"
 
 namespace mmhand::pose {
 namespace {
@@ -385,6 +394,172 @@ TEST_F(SampleBuildingTest, PredictRecordingCoversSegmentEnds) {
         distance(p.ground_truth[0],
                  rec.frames[static_cast<std::size_t>(p.frame_index)].joints[0]),
         0.0, 1e-6);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cube-frame normalization: the noise floor is element n/2 of the cells in
+// float order, whatever selects it.  The oracle selects it with
+// nth_element over every cell.
+
+std::vector<float> oracle_cube_frame(const std::vector<float>& cells,
+                                     const PoseNetConfig& cfg) {
+  std::vector<float> sorted = cells;
+  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                   sorted.end());
+  const float floor = cfg.noise_floor_scale * sorted[sorted.size() / 2];
+  std::vector<float> out(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    out[i] = std::max(0.0f, cells[i] - floor) * cfg.cube_scale +
+             cfg.cube_offset;
+  return out;
+}
+
+/// write_cube_frame and the in-place normalize_cube_frame against the
+/// oracle, bitwise, at the default floor scale and at 0.5 (a floor below
+/// the median, so an off-by-one selection moves cells that the default
+/// scale would clamp to zero on tiny cubes).
+void expect_oracle_bits(const radar::RadarCube& cube,
+                        const std::string& what) {
+  PoseNetConfig cfg;
+  cfg.velocity_bins = cube.velocity_bins();
+  cfg.range_bins = cube.range_bins();
+  cfg.angle_bins = cube.angle_bins();
+  for (const float scale : {cfg.noise_floor_scale, 0.5f}) {
+    cfg.noise_floor_scale = scale;
+    const std::vector<float> want = oracle_cube_frame(cube.data(), cfg);
+    const std::size_t bytes = want.size() * sizeof(float);
+    std::vector<float> got(cube.size(), -7.0f);
+    write_cube_frame(cube, cfg, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+        << what << ", " << cube.size() << " cells, floor scale " << scale;
+    std::vector<float> in_place = cube.data();
+    normalize_cube_frame(cfg, in_place.data());
+    EXPECT_EQ(std::memcmp(in_place.data(), want.data(), bytes), 0)
+        << what << " (in place), floor scale " << scale;
+  }
+}
+
+radar::RadarCube cube_of(int v, int d, int a, const std::vector<float>& cells) {
+  radar::RadarCube cube(v, d, a);
+  EXPECT_EQ(cells.size(), cube.size());
+  std::copy(cells.begin(), cells.end(), cube.data().begin());
+  return cube;
+}
+
+/// The paper-shaped cube geometry (V x D x A = 9,216 cells by default).
+struct PaperCube {
+  radar::ChirpConfig chirp;
+  radar::PipelineConfig pipeline;
+  int v() const { return chirp.chirps_per_frame; }
+  int d() const { return pipeline.cube.range_bins; }
+  int a() const { return pipeline.cube.total_angle_bins(); }
+};
+
+TEST(CubeFrame, MedianMatchesOracleAcrossSizes) {
+  Rng rng(5);
+  const PaperCube paper;
+  const int dims[][3] = {{1, 1, 1}, {1, 1, 2}, {1, 3, 5}, {3, 5, 7},
+                         {2, 2, 3}, {4, 8, 8}, {paper.v(), paper.d(), paper.a()}};
+  for (const auto& dim : dims) {
+    const std::size_t n =
+        static_cast<std::size_t>(dim[0]) * dim[1] * dim[2];
+    std::vector<float> cells(n);
+    for (float& c : cells) c = static_cast<float>(rng.uniform(0.0, 4.0));
+    expect_oracle_bits(cube_of(dim[0], dim[1], dim[2], cells), "uniform");
+  }
+  EXPECT_EQ(static_cast<std::size_t>(paper.v()) * paper.d() * paper.a(),
+            9216u);
+}
+
+TEST(CubeFrame, MedianMatchesOracleOnDegenerateCubes) {
+  const PaperCube paper;
+  const std::size_t n =
+      static_cast<std::size_t>(paper.v()) * paper.d() * paper.a();
+  expect_oracle_bits(
+      cube_of(paper.v(), paper.d(), paper.a(), std::vector<float>(n, 0.75f)),
+      "all equal");
+  expect_oracle_bits(
+      cube_of(paper.v(), paper.d(), paper.a(), std::vector<float>(n, 0.0f)),
+      "all +0");
+  expect_oracle_bits(cube_of(3, 5, 7, std::vector<float>(105, 2.5f)),
+                     "all equal, odd");
+  // Negative cells do not occur (cells are log1p(|z|)), but the select
+  // orders them too.
+  Rng rng(6);
+  std::vector<float> mixed(105);
+  for (float& c : mixed)
+    c = 0.25f * static_cast<float>(static_cast<int>(rng.uniform(-8.0, 8.0)));
+  expect_oracle_bits(cube_of(3, 5, 7, mixed), "signed, tied");
+  // An even count, so a select that ordered negative cells backwards
+  // would pick the neighbouring element.
+  std::vector<float> negative(4 * 8 * 8);
+  for (float& c : negative) c = static_cast<float>(rng.uniform(-4.0, 0.5));
+  expect_oracle_bits(cube_of(4, 8, 8, negative), "negative median");
+}
+
+TEST(CubeFrame, MedianMatchesOracleOnTiesAndBinEdges) {
+  // Cells in [1, 1.125) share one 4,096-bin histogram bin (sign,
+  // exponent and three mantissa bits).
+  const float edge_lo = 1.0f;
+  const float edge_hi = std::nextafter(1.125f, 0.0f);
+  Rng rng(7);
+  // Many ties inside the median's bin, flanked by other bins.
+  std::vector<float> ties(4 * 8 * 8);
+  for (std::size_t i = 0; i < ties.size(); ++i) {
+    const std::size_t k = i % 10;
+    ties[i] = k < 4   ? static_cast<float>(rng.uniform(0.0, 0.5))
+              : k < 6 ? static_cast<float>(rng.uniform(2.0, 4.0))
+                      : edge_lo + static_cast<float>(i % 3) * 1e-7f;
+  }
+  expect_oracle_bits(cube_of(4, 8, 8, ties), "ties in the median's bin");
+  // The median is the bin's only cell, its first or its last value, or
+  // the first cell after a bin that ends exactly at rank n/2.
+  for (const float mid : {edge_lo, edge_hi}) {
+    std::vector<float> cells(101, 0.5f);
+    for (std::size_t i = 51; i < cells.size(); ++i) cells[i] = 2.0f;
+    cells[50] = mid;
+    expect_oracle_bits(cube_of(1, 1, 101, cells), "lone median at a bin edge");
+    cells[49] = edge_lo;
+    cells[51] = edge_hi;
+    expect_oracle_bits(cube_of(1, 1, 101, cells), "median inside a bin");
+  }
+  std::vector<float> halves(100, 0.5f);
+  for (std::size_t i = 50; i < halves.size(); ++i)
+    halves[i] = i % 2 == 0 ? 2.0f : 3.0f;
+  expect_oracle_bits(cube_of(1, 10, 10, halves), "bin ends at rank n/2");
+  // Seeded sweep: random sizes with heavy ties.
+  for (int trial = 0; trial < 200; ++trial) {
+    const int a = 1 + static_cast<int>(rng.uniform(0.0, 60.0));
+    const int d = 1 + static_cast<int>(rng.uniform(0.0, 60.0));
+    const double levels = 1.0 + static_cast<int>(rng.uniform(0.0, 40.0));
+    std::vector<float> cells(static_cast<std::size_t>(a) * d);
+    for (float& c : cells)
+      c = static_cast<float>(
+          static_cast<int>(rng.uniform(0.0, levels)) / levels * 3.0);
+    expect_oracle_bits(cube_of(1, d, a, cells),
+                       "sweep " + std::to_string(trial));
+  }
+}
+
+TEST(CubeFrame, MedianMatchesOracleOnGoldenSceneCubes) {
+  const PaperCube paper;
+  radar::ChirpConfig quiet_chirp = paper.chirp;
+  quiet_chirp.noise_stddev = 0.0;
+  const radar::AntennaArray array(paper.chirp);
+  const radar::IfSimulator noisy(paper.chirp, array);
+  const radar::IfSimulator quiet(quiet_chirp, array);
+  const radar::RadarPipeline pipe(paper.chirp, array, paper.pipeline);
+  const radar::Scene golden{
+      {Vec3{0.05, 0.30, 0.02}, Vec3{0.0, 0.4, 0.0}, 1.0},
+      {Vec3{-0.08, 0.45, -0.01}, Vec3{0.0, -0.2, 0.0}, 0.7},
+  };
+  Rng rng(11);
+  for (int f = 0; f < 6; ++f) {
+    const radar::IfSimulator& sim = f % 2 == 0 ? noisy : quiet;
+    const auto cube = pipe.process_frame(
+        sim.simulate_frame(golden, f * paper.chirp.frame_period_s, rng));
+    expect_oracle_bits(cube, "golden scene frame " + std::to_string(f));
   }
 }
 

@@ -390,26 +390,36 @@ bool read_sources(const std::string& root, Gate gate,
     return ext == ".cpp" || ext == ".hpp" || ext == ".h" ||
            (purity && ext == ".inl");
   };
-  std::vector<fs::path> files;
+  // (root-relative path, file).  Overlapping targets (`src/mmhand/x src`,
+  // `./src src`) reach a file more than once; it is read, and reported,
+  // once.
+  std::vector<std::pair<fs::path, fs::path>> files;
+  const auto add = [&](const fs::path& file) {
+    files.emplace_back(fs::relative(file, root).lexically_normal(), file);
+  };
   for (const std::string& target : walk) {
     const fs::path base = fs::path(target).is_absolute()
                               ? fs::path(target)
                               : fs::path(root) / target;
     if (fs::is_regular_file(base)) {
-      files.push_back(base);
+      add(base);
     } else if (fs::is_directory(base)) {
       for (const auto& entry : fs::recursive_directory_iterator(base))
         if (entry.is_regular_file() && wanted(entry.path()))
-          files.push_back(entry.path());
+          add(entry.path());
     }
   }
   std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              files.end());
   out->clear();
-  for (const fs::path& file : files) {
+  for (const auto& [relative, file] : files) {
     std::string content;
     if (!top::load_text(file.string(), &content, error)) return false;
-    out->emplace_back(fs::relative(file, root).generic_string(),
-                      std::move(content));
+    out->emplace_back(relative.generic_string(), std::move(content));
   }
   return true;
 }

@@ -77,7 +77,8 @@ enum class Gate {
 
 /// Reads every file of the gate's extension set under `targets` (files
 /// or directories, relative to `root` or absolute; empty means the
-/// gate's defaults), sorted by path.  Absent targets are skipped, so a
+/// gate's defaults), sorted by path, each file once however many
+/// targets reach it.  Absent targets are skipped, so a
 /// partial checkout still lints.  Returns false and sets `*error` on an
 /// unreadable file.
 bool read_sources(const std::string& root, Gate gate,

@@ -16,13 +16,22 @@
 // steady-state forward allocates nothing.  This is the invariant the
 // serving layer relies on for allocation-free steady-state batching.
 //
-// Exit status: 0 when steady-state radar frames and pose forwards
-// allocate nothing, on every ISA; 1 otherwise.
+// The served frame path is gated too: a warm manual-step serve::Server
+// takes frames that do not complete a window (submit stores the raw
+// cube) and runs the feature passes that normalize them and compute
+// their mmSpaceNet features.  Neither may allocate, also not for an
+// all-zero frame (a dropped capture), whose median bin holds every
+// cell.
+//
+// Exit status: 0 when steady-state radar frames, pose forwards and
+// served frames allocate nothing, on every ISA; 1 otherwise.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "mmhand/common/rng.hpp"
 #include "mmhand/nn/tensor.hpp"
@@ -33,6 +42,7 @@
 #include "mmhand/radar/chirp_config.hpp"
 #include "mmhand/radar/if_simulator.hpp"
 #include "mmhand/radar/pipeline.hpp"
+#include "mmhand/serve/server.hpp"
 #include "mmhand/simd/simd.hpp"
 
 namespace {
@@ -159,9 +169,61 @@ int main(int argc, char** argv) {
   }
   mmhand::obs::set_alloc_tracking(false);
 
+  // Served frames: one session of a manual-step server.  Each measured
+  // call submits a frame that does not complete its window and steps
+  // one feature pass over it; the completing frame and its batch run
+  // with tracking off.  Two warm-up windows size the store free list,
+  // the claim list and the scheduler's scratch.
+  mmhand::serve::ServerOptions serve_opts;
+  serve_opts.manual_step = true;
+  mmhand::serve::Server server(mmhand::serve::ServeConfig{}, model,
+                               serve_opts);
+  const mmhand::serve::SessionId session = server.join().id;
+  std::vector<mmhand::serve::WindowResult> results;
+  const int window = pose_cfg.frames_per_sample();
+  int filled = 0;
+  const auto serve_frame = [&](const mmhand::radar::RadarCube& served_cube) {
+    if (filled == window - 1) {
+      const bool tracking = mmhand::obs::alloc_tracking_enabled();
+      mmhand::obs::set_alloc_tracking(false);
+      server.submit(session, served_cube);
+      server.drain();
+      results.clear();
+      server.poll(session, &results);
+      filled = 0;
+      mmhand::obs::set_alloc_tracking(tracking);
+    }
+    server.submit(session, served_cube);
+    server.step();
+    ++filled;
+  };
+  for (int i = 0; i < 2 * window; ++i) serve_frame(cube);
+  mmhand::obs::set_alloc_tracking(true);
+  Stats served;
+  std::int64_t serve_stray = 0;
+  int serve_batches = 0;
+  while (serve_batches < kMaxBatches) {
+    served = measure(frames, [&] { serve_frame(cube); });
+    ++serve_batches;
+    if (served.allocs == 0) break;
+    serve_stray += served.allocs;
+  }
+  // All-zero frames after the warm-up, with no settle batch: the first
+  // such frame must already find the median's scratch large enough.
+  mmhand::radar::RadarCube gap = cube;
+  std::fill(gap.data().begin(), gap.data().end(), 0.0f);
+  const Stats gapped = measure(frames, [&] { serve_frame(gap); });
+  mmhand::obs::set_alloc_tracking(false);
+  served.allocs += gapped.allocs;
+  served.bytes += gapped.bytes;
+  served.max_frame_allocs =
+      std::max(served.max_frame_allocs, gapped.max_frame_allocs);
+  const int served_frames = 2 * frames;
+
   const bool radar_clean = radar.allocs == 0;
   const bool pose_clean = pose.allocs == 0;
-  const bool pass = radar_clean && pose_clean;
+  const bool serve_clean = served.allocs == 0;
+  const bool pass = radar_clean && pose_clean && serve_clean;
 
   if (json) {
     std::printf(
@@ -176,8 +238,12 @@ int main(int argc, char** argv) {
         "  \"pose\": {\"allocs\": %lld, \"bytes\": %lld,"
         " \"max_frame_allocs\": %lld, \"allocs_per_frame\": %.3f,"
         " \"settle_batches\": %d, \"stray_allocs\": %lld},\n"
+        "  \"serve\": {\"allocs\": %lld, \"bytes\": %lld,"
+        " \"max_frame_allocs\": %lld, \"allocs_per_frame\": %.3f,"
+        " \"settle_batches\": %d, \"stray_allocs\": %lld},\n"
         "  \"radar_clean\": %s,\n"
         "  \"pose_clean\": %s,\n"
+        "  \"serve_clean\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
         mmhand::simd::isa_name(mmhand::simd::active_isa()), frames, warmup,
@@ -191,8 +257,13 @@ int main(int argc, char** argv) {
         static_cast<long long>(pose.max_frame_allocs),
         static_cast<double>(pose.allocs) / frames, pose_batches,
         static_cast<long long>(pose_stray),
+        static_cast<long long>(served.allocs),
+        static_cast<long long>(served.bytes),
+        static_cast<long long>(served.max_frame_allocs),
+        static_cast<double>(served.allocs) / served_frames, serve_batches,
+        static_cast<long long>(serve_stray),
         radar_clean ? "true" : "false", pose_clean ? "true" : "false",
-        pass ? "true" : "false");
+        serve_clean ? "true" : "false", pass ? "true" : "false");
   } else {
     std::printf("isa: %s\n",
                 mmhand::simd::isa_name(mmhand::simd::active_isa()));
@@ -208,9 +279,16 @@ int main(int argc, char** argv) {
                 static_cast<long long>(pose.allocs), frames,
                 static_cast<long long>(pose.max_frame_allocs), pose_batches,
                 static_cast<long long>(pose_stray));
+    std::printf("serve: %lld alloc(s) over %d served frame(s), half of"
+                " them all-zero (worst %lld; settled after %d batch(es),"
+                " %lld stray warm-up alloc(s))\n",
+                static_cast<long long>(served.allocs), served_frames,
+                static_cast<long long>(served.max_frame_allocs),
+                serve_batches, static_cast<long long>(serve_stray));
     std::printf("%s\n", pass ? "PASS"
-                              : "FAIL: steady-state radar frames and pose"
-                                " forwards must not allocate");
+                              : "FAIL: steady-state radar frames, pose"
+                                " forwards and served frames must not"
+                                " allocate");
   }
   return pass ? 0 : 1;
 }
