@@ -14,7 +14,7 @@ tolerance is deliberately generous (50%) because these are wall-clock
 micro-benches on shared CI hardware; tighten it on a quiet box.
 
 Both JSON files carry a ``simd`` field naming the vector ISA the run
-dispatched to (scalar/avx2/neon).  When the two runs used different ISAs the
+dispatched to (scalar/avx2/avx512/neon).  When the two runs used different ISAs the
 comparison is meaningless — a scalar run on an AVX2 baseline would "regress"
 by design — so the script refuses it (exit 2).  Re-run the bench with
 ``MMHAND_SIMD=<baseline isa>`` or refresh the baseline instead.

@@ -6,6 +6,11 @@
 #include <string>
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "mmhand/common/parallel.hpp"
 #include "mmhand/obs/obs.hpp"
 #include "mmhand/pose/samples.hpp"
@@ -20,6 +25,41 @@ std::uint64_t steady_now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// CPU the calling thread runs on, or -1 where the platform cannot say.
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// Moves the calling thread off `cpu`: leaving `cpu` out of the
+/// thread's affinity mask makes the kernel migrate it, and restoring the
+/// mask at once leaves it free to run anywhere again.  A no-op when
+/// `cpu` is the only CPU the thread may use.
+void move_off_cpu(int cpu) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (cpu < 0 || cpu >= CPU_SETSIZE ||
+      pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0 ||
+      CPU_COUNT(&allowed) < 2 || !CPU_ISSET(cpu, &allowed))
+    return;
+  cpu_set_t others = allowed;
+  CPU_CLR(cpu, &others);
+  pthread_setaffinity_np(pthread_self(), sizeof others, &others);
+  pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+#else
+  (void)cpu;
+#endif
+}
+
+/// Scheduler steps in a row on the latest submitter's CPU before the
+/// scheduler moves off it, and the least time between two moves.  One
+/// ingress thread and the scheduler stay apart after one move.
+constexpr int kSharedCpuSteps = 8;
+constexpr std::uint64_t kMoveGapNs = 1000000000;
 
 /// Per-session latency histograms, folded onto a bounded set of slots
 /// so session churn cannot grow the metrics registry without bound.
@@ -111,7 +151,6 @@ JoinResult Server::join() {
   }
   auto session = std::make_unique<Session>();
   session->id = next_id_++;
-  session->store = take_store_locked();
   const SessionId id = session->id;
   sessions_.emplace(id, std::move(session));
   ++stats_.sessions_admitted;
@@ -202,13 +241,16 @@ Server::WindowStore Server::take_store_locked() {
 }
 
 void Server::recycle_locked(WindowStore store) {
-  // Every store is held by a session, a queued or running window, or
-  // this list, so the list never outgrows the most ever in use.
+  // Every store is held by a filling session, a queued or running
+  // window, or this list, so the list never outgrows the most ever in
+  // use.  A session between windows holds none.
+  if (store.frames.empty()) return;
   store.featured = 0;
   free_stores_.push_back(std::move(store));
 }
 
 SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
+  submit_cpu_.store(current_cpu(), std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return {false, true, 0.0};
@@ -228,7 +270,13 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
   // The raw cells only: the scheduler normalizes a frame just before it
   // runs mmSpaceNet on it, outside the lock.
   pose::check_cube_dims(cube, model_.config());
-  if (s.frames_filled == 0) s.first_frame = s.next_frame;
+  if (s.frames_filled == 0) {
+    s.first_frame = s.next_frame;
+    // A session takes its store with a window's first frame, not when
+    // the last one completes, so a burst of completing windows does
+    // not hold a store per session while the scheduler catches up.
+    if (s.store.frames.empty()) s.store = take_store_locked();
+  }
   std::copy(cube.data().begin(), cube.data().end(),
             s.store.frames.data() +
                 static_cast<std::size_t>(s.frames_filled) * frame_elems_);
@@ -285,8 +333,7 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
       w.ready_ns + static_cast<std::uint64_t>(config_.deadline_ms * 1e6);
   w.first_frame = s.first_frame;
   w.last_frame = s.next_frame - 1;
-  w.store = std::move(s.store);
-  s.store = take_store_locked();
+  w.store = std::exchange(s.store, {});
   ready_.push_back(std::move(w));
   ++s.queued;
   stats_.max_ready_depth =
@@ -454,10 +501,13 @@ int Server::step() {
   } else if (!frames.empty()) {
     // Idle time: features of frames in still-filling windows.
     nn::Tensor features({frames.dim(0), static_cast<int>(feature_elems_)});
+    raw_frames_.clear();
+    feature_rows_.clear();
+    stage_frames(frames.data(), features.data(), 0, frames.dim(0));
     {
       obs::FrameScope frame("serve/frame_features");
       MMHAND_SPAN("serve/frame_features");
-      features_of(frames.data(), frames.dim(0), features.data());
+      features_of();
     }
     std::lock_guard<std::mutex> lk(mu_);
     attach_features_locked(features);
@@ -466,22 +516,36 @@ int Server::step() {
   return resolved;
 }
 
-void Server::features_of(const float* raw, int count, float* rows) const {
+void Server::stage_frames(const float* frames, float* rows, int first,
+                          int end) {
+  for (int f = first; f < end; ++f) {
+    raw_frames_.push_back(frames + static_cast<std::size_t>(f) * frame_elems_);
+    feature_rows_.push_back(rows +
+                            static_cast<std::size_t>(f) * feature_elems_);
+  }
+}
+
+void Server::features_of() const {
   const auto& pc = model_.config();
+  const int count = static_cast<int>(raw_frames_.size());
   const int chunk = static_cast<int>(
       std::min<std::int64_t>(std::max(count, 1), fan_out_indices()));
   for (int first = 0; first < count; first += chunk) {
     const int n = std::min(chunk, count - first);
     nn::Tensor frames({n, pc.velocity_bins, pc.range_bins, pc.angle_bins});
-    std::copy(raw + static_cast<std::size_t>(first) * frame_elems_,
-              raw + static_cast<std::size_t>(first + n) * frame_elems_,
-              frames.data());
-    for (int f = 0; f < n; ++f)
-      pose::normalize_cube_frame(
-          pc, frames.data() + static_cast<std::size_t>(f) * frame_elems_);
+    for (int f = 0; f < n; ++f) {
+      float* dst = frames.data() + static_cast<std::size_t>(f) * frame_elems_;
+      const float* src = raw_frames_[static_cast<std::size_t>(first + f)];
+      std::copy(src, src + frame_elems_, dst);
+      pose::normalize_cube_frame(pc, dst);
+    }
     const nn::Tensor features = model_.frame_features(frames);
-    std::copy(features.data(), features.data() + features.numel(),
-              rows + static_cast<std::size_t>(first) * feature_elems_);
+    for (int f = 0; f < n; ++f) {
+      const float* row =
+          features.data() + static_cast<std::size_t>(f) * feature_elems_;
+      std::copy(row, row + feature_elems_,
+                feature_rows_[static_cast<std::size_t>(first + f)]);
+    }
   }
 }
 
@@ -494,36 +558,20 @@ int Server::run_batch(Tier batch_tier) {
   const bool with_mesh = batch_tier == Tier::kFull && options_.mesh != nullptr;
   results_.clear();
   results_.resize(batch_.size());
-  int missing = 0;
   {
     obs::FrameScope frame("serve/batch");
     MMHAND_SPAN("serve/forward_batch");
-    // mmSpaceNet over the frames without cached features: usually each
-    // window's last frame only.
-    for (const ReadyWindow& w : batch_)
-      missing += frames_per_window_ - w.store.featured;
-    if (missing > 0) {
-      nn::Tensor frames(
-          {missing, pc.velocity_bins, pc.range_bins, pc.angle_bins});
-      float* dst = frames.data();
-      for (const ReadyWindow& w : batch_) {
-        const std::vector<float>& v = w.store.frames;
-        const std::size_t first =
-            static_cast<std::size_t>(w.store.featured) * frame_elems_;
-        dst = std::copy(v.data() + first, v.data() + v.size(), dst);
-      }
-      nn::Tensor fresh({missing, static_cast<int>(feature_elems_)});
-      features_of(frames.data(), missing, fresh.data());
-      const float* src = fresh.data();
-      for (ReadyWindow& w : batch_) {
-        std::vector<float>& v = w.store.features;
-        const std::size_t first =
-            static_cast<std::size_t>(w.store.featured) * feature_elems_;
-        std::copy(src, src + (v.size() - first), v.data() + first);
-        src += v.size() - first;
-        w.store.featured = frames_per_window_;
-      }
+    // mmSpaceNet over the frames without cached features (usually each
+    // window's last frame only), read from and written to the batch's
+    // own stores.
+    raw_frames_.clear();
+    feature_rows_.clear();
+    for (ReadyWindow& w : batch_) {
+      stage_frames(w.store.frames.data(), w.store.features.data(),
+                   w.store.featured, frames_per_window_);
+      w.store.featured = frames_per_window_;
     }
+    features_of();
     nn::Tensor features({b_count * frames_per_window_,
                          static_cast<int>(feature_elems_)});
     float* dst = features.data();
@@ -571,7 +619,7 @@ int Server::run_batch(Tier batch_tier) {
   batch_.clear();
   inflight_ -= b_count;
   ++stats_.batches;
-  stats_.frames_featured_in_batch += static_cast<std::uint64_t>(missing);
+  stats_.frames_featured_in_batch += raw_frames_.size();
   if (obs::metrics_enabled()) counters().batches.add(1);
   return b_count;
 }
@@ -592,12 +640,43 @@ void Server::drain() {
 }
 
 void Server::scheduler_loop() {
+  // At pool width 1 the scheduler runs all NN work on its own thread.
+  // The ingress thread and the scheduler both work in bursts on the
+  // frame clock, so on one CPU they take turns: a completed window
+  // waits for the ingress burst to end, and its result for the
+  // scheduler's.  Linux can keep the pair on one CPU for a whole run
+  // while others idle, so the scheduler moves off a CPU it keeps
+  // sharing with the thread that submits frames.  With a wider pool
+  // the NN work fans out over every CPU anyway, and moving the
+  // scheduler only disturbed it (bench_serve's p50 rose).
+  int shared_steps = 0;
+  std::uint64_t next_move_ns = 0;
   while (true) {
+    const int cpu = current_cpu();
+    const bool shared =
+        num_threads() == 1 && cpu >= 0 &&
+        cpu == submit_cpu_.load(std::memory_order_relaxed);
+    shared_steps = shared ? shared_steps + 1 : 0;
+    if (shared_steps == kSharedCpuSteps) {
+      const std::uint64_t now = steady_now_ns();
+      if (now >= next_move_ns) {
+        move_off_cpu(cpu);
+        next_move_ns = now + kMoveGapNs;
+      }
+      shared_steps = 0;
+    }
     step();
     std::unique_lock<std::mutex> lk(mu_);
     if (stop_) break;
-    if (ready_.empty() && !features_pending_locked())
-      work_cv_.wait_for(lk, std::chrono::microseconds(200));
+    if (ready_.empty() && !features_pending_locked()) {
+      // Idle.  Below full tier, keep ticking so the tier recovers; at
+      // full tier nothing changes until submit(), drain() or the
+      // destructor notifies, so a timed wake-up only costs CPU.
+      if (tier_ == Tier::kFull)
+        work_cv_.wait(lk);
+      else
+        work_cv_.wait_for(lk, std::chrono::microseconds(200));
+    }
   }
 }
 

@@ -44,9 +44,12 @@
 // outside the lock (only the scheduler executes it).  A window's frame
 // and feature storage moves, never copies, from its session to the
 // ready queue to the scheduler, and recycles through a free list under
-// the same mutex.  With Options.manual_step the server runs no thread
+// the same mutex; a session holds none between windows.  At pool width
+// 1 the scheduler moves off a CPU it keeps sharing with the thread that
+// submits frames (DESIGN §13 "Placement").  With Options.manual_step the server runs no thread
 // and tests drive `step()` with an injected clock for full determinism.
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -216,7 +219,7 @@ class Server {
     std::uint64_t next_seq = 0;  ///< seq of the filling window
     int queued = 0;              ///< this session's ready-queue share
     bool drop_toggle = false;    ///< kPoseOnly half-density alternator
-    WindowStore store;           ///< the filling window
+    WindowStore store;  ///< the filling window; empty between windows
     std::vector<WindowResult> delivered;
   };
 
@@ -241,16 +244,20 @@ class Server {
   bool features_pending_locked() const;
   nn::Tensor claim_features_locked();
   void attach_features_locked(const nn::Tensor& features);
-  /// mmSpaceNet features of `count` raw cube frames at `raw` into
-  /// `rows` ([count, frame_feature_numel]), outside the lock.  Frames
-  /// are normalized (pose::normalize_cube_frame) into a staging tensor
-  /// and run `fan_out_indices()` at a time: enough for the
-  /// convolutions' per-frame `parallel_for` to use every pool thread,
-  /// and one frame at pool width 1.  The activations, with the buffers
-  /// the scheduler's tensor pool keeps, stay that many frames' size
-  /// however many frames are pending.  A frame's features are the same
-  /// bits in any pass.
-  void features_of(const float* raw, int count, float* rows) const;
+  /// Appends frames [first, end) of `frames` and their rows of `rows`
+  /// to raw_frames_ / feature_rows_.
+  void stage_frames(const float* frames, float* rows, int first, int end);
+  /// mmSpaceNet features of the raw cube frames staged in raw_frames_,
+  /// each written to the matching feature_rows_ entry
+  /// (frame_feature_numel floats), outside the lock.  Frames are
+  /// normalized (pose::normalize_cube_frame) into a staging tensor and
+  /// run `fan_out_indices()` at a time: enough for the convolutions'
+  /// per-frame `parallel_for` to use every pool thread, and one frame
+  /// at pool width 1.  The activations, with the buffers the
+  /// scheduler's tensor pool keeps, stay that many frames' size however
+  /// many frames are pending.  A frame's features are the same bits in
+  /// any pass.
+  void features_of() const;
   int run_batch(Tier tier);
 
   const ServeConfig config_;
@@ -273,11 +280,14 @@ class Server {
   int lo_streak_ = 0;
   ServerStats stats_;
   std::vector<WindowStore> free_stores_;  ///< recycled window storage
+  std::atomic<int> submit_cpu_{-1};  ///< CPU of the latest submit's caller
 
   // Scheduler-only scratch (the step() caller owns it; capacity kept).
   std::vector<ReadyWindow> batch_;
   std::vector<WindowResult> results_;  ///< batch_'s, built before the lock
   std::vector<FeatureClaim> claims_;
+  std::vector<const float*> raw_frames_;  ///< features_of's input frames
+  std::vector<float*> feature_rows_;      ///< and their feature rows
 
   std::thread scheduler_;  ///< absent under Options.manual_step
 };

@@ -25,6 +25,14 @@ bool host_supports(Isa isa) {
 #else
       return false;
 #endif
+    case Isa::kAvx512:
+#if defined(__x86_64__) || defined(_M_X64)
+      return avx512_kernels() != nullptr &&
+             __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+      return false;
+#endif
     case Isa::kNeon:
       // aarch64 mandates NEON; presence of the table is the whole check.
       return neon_kernels() != nullptr;
@@ -36,13 +44,10 @@ bool host_supports(Isa isa) {
 /// unrecognized, or naming an ISA this host cannot run.
 Isa resolve_initial() {
   const char* s = std::getenv("MMHAND_SIMD");
-  if (s != nullptr && *s != '\0') {
-    if (std::strcmp(s, "scalar") == 0) return Isa::kScalar;
-    if (std::strcmp(s, "avx2") == 0 && host_supports(Isa::kAvx2))
-      return Isa::kAvx2;
-    if (std::strcmp(s, "neon") == 0 && host_supports(Isa::kNeon))
-      return Isa::kNeon;
-  }
+  if (s != nullptr)
+    for (const Isa isa : kAllIsas)
+      if (std::strcmp(s, isa_name(isa)) == 0 && host_supports(isa))
+        return isa;
   return best_supported_isa();
 }
 
@@ -69,6 +74,8 @@ const char* isa_name(Isa isa) {
       return "avx2";
     case Isa::kNeon:
       return "neon";
+    case Isa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -76,8 +83,8 @@ const char* isa_name(Isa isa) {
 bool isa_supported(Isa isa) { return host_supports(isa); }
 
 Isa best_supported_isa() {
-  if (host_supports(Isa::kAvx2)) return Isa::kAvx2;
-  if (host_supports(Isa::kNeon)) return Isa::kNeon;
+  for (const Isa isa : kAllIsas)
+    if (host_supports(isa)) return isa;
   return Isa::kScalar;
 }
 
@@ -103,6 +110,8 @@ const Kernels* kernels_for(Isa isa) {
       return avx2_kernels();
     case Isa::kNeon:
       return neon_kernels();
+    case Isa::kAvx512:
+      return avx512_kernels();
   }
   return nullptr;
 }

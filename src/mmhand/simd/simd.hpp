@@ -5,7 +5,7 @@
 // One function-pointer table (`Kernels`) per instruction set; the
 // active table is chosen once by runtime CPU detection and can be
 // overridden with the `MMHAND_SIMD` environment variable
-// (`auto|avx2|neon|scalar`) or `set_isa()` from tests.  Callers above
+// (`auto|avx512|avx2|neon|scalar`) or `set_isa()` from tests.  Callers above
 // this layer (dsp/, radar/, nn/gemm) never touch intrinsics — the
 // `simd-confinement` lint rule keeps raw `_mm*`/`vld1q*` identifiers
 // inside src/mmhand/simd/.
@@ -36,16 +36,24 @@ enum class Isa {
   kScalar = 0,  ///< width-1 kernels; bitwise-stable across builds
   kAvx2 = 1,    ///< x86-64 AVX2+FMA, 4 double lanes
   kNeon = 2,    ///< aarch64 NEON, 2 double lanes
+  /// x86-64 AVX-512F, 8 double lanes; the float GEMM entries are the
+  /// AVX2 ones, so NN bits match kAvx2 and so does the cube
+  kAvx512 = 3,
 };
 
-/// Stable lowercase name ("scalar", "avx2", "neon") for logs and the
-/// bench JSON `simd` field.
+/// Every ISA, widest first: best_supported_isa() is the first one this
+/// host supports, and per-ISA tests walk the whole list.
+inline constexpr Isa kAllIsas[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon,
+                                   Isa::kScalar};
+
+/// Stable lowercase name ("scalar", "avx2", "neon", "avx512") for logs,
+/// `MMHAND_SIMD` and the bench JSON `simd` field.
 const char* isa_name(Isa isa);
 
 /// True when this host can execute `isa`.
 bool isa_supported(Isa isa);
 
-/// Highest-throughput ISA this host supports.
+/// Widest ISA this host supports: the first supported entry of kAllIsas.
 Isa best_supported_isa();
 
 /// The ISA in effect: `MMHAND_SIMD` when set to a recognized and
@@ -78,7 +86,7 @@ struct ComplexProduct {
 };
 
 /// One entry per vectorized primitive.  `width` is the double lane count
-/// (4 for AVX2, 2 for NEON, 1 for scalar).
+/// (8 for AVX-512, 4 for AVX2, 2 for NEON, 1 for scalar).
 struct Kernels {
   int width = 1;
 

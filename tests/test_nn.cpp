@@ -135,12 +135,11 @@ std::vector<std::uint32_t> bits(const std::vector<float>& v) {
   return out;
 }
 
-/// Every kernel table this host can run (scalar always, AVX2/NEON when
-/// supported); each test pins them in turn and restores the active one.
+/// Every kernel table this host can run, widest first (scalar always
+/// last); each test pins them in turn and restores the active one.
 std::vector<simd::Isa> gemm_isas() {
   std::vector<simd::Isa> isas;
-  for (simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon})
+  for (simd::Isa isa : simd::kAllIsas)
     if (simd::kernels_for(isa) != nullptr) isas.push_back(isa);
   return isas;
 }
@@ -152,7 +151,7 @@ class GemmPerIsa : public ::testing::Test {
 };
 
 TEST_F(GemmPerIsa, MatchesDoubleOracleOnEdgeShapes) {
-  ASSERT_EQ(gemm_isas().front(), simd::Isa::kScalar);
+  ASSERT_EQ(gemm_isas().back(), simd::Isa::kScalar);
   Rng rng(31);
   for (simd::Isa isa : gemm_isas()) {
     ASSERT_TRUE(simd::set_isa(isa));
@@ -1008,6 +1007,14 @@ TEST_F(NnGolden, Avx2ForwardBatchHashUnchanged) {
   EXPECT_EQ(golden_forward_hash(), 0x6851587a78868e97ull);
 }
 
+// The AVX-512 table's float entries are the AVX2 ones, so its NN bits
+// are the AVX2 pin.
+TEST_F(NnGolden, Avx512ForwardBatchHashIsTheAvx2One) {
+  if (!simd::isa_supported(simd::Isa::kAvx512)) GTEST_SKIP() << "no AVX-512";
+  ASSERT_TRUE(simd::set_isa(simd::Isa::kAvx512));
+  EXPECT_EQ(golden_forward_hash(), 0x6851587a78868e97ull);
+}
+
 // ---- The forward's two halves: per-frame features, then the head.
 
 /// Frames [first, first + count) of `x` as their own tensor.
@@ -1133,6 +1140,15 @@ TEST_F(TrainGolden, ScalarGradientHashesUnchanged) {
 TEST_F(TrainGolden, Avx2GradientHashesUnchanged) {
   if (!simd::isa_supported(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2";
   ASSERT_TRUE(simd::set_isa(simd::Isa::kAvx2));
+  EXPECT_EQ(golden_train_hash(pose::TemporalKind::kLstm),
+            0x10dc92b3ad10cde8ull);
+  EXPECT_EQ(golden_train_hash(pose::TemporalKind::kGru),
+            0x87b997d2469fb808ull);
+}
+
+TEST_F(TrainGolden, Avx512GradientHashesAreTheAvx2Ones) {
+  if (!simd::isa_supported(simd::Isa::kAvx512)) GTEST_SKIP() << "no AVX-512";
+  ASSERT_TRUE(simd::set_isa(simd::Isa::kAvx512));
   EXPECT_EQ(golden_train_hash(pose::TemporalKind::kLstm),
             0x10dc92b3ad10cde8ull);
   EXPECT_EQ(golden_train_hash(pose::TemporalKind::kGru),

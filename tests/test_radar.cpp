@@ -536,7 +536,7 @@ TEST(RadarPipeline, CubeMatchesPerSignalReference) {
     Isa saved = simd::active_isa();
     ~RestoreIsa() { simd::set_isa(saved); }
   } restore;
-  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kNeon}) {
+  for (const Isa isa : simd::kAllIsas) {
     if (simd::kernels_for(isa) == nullptr) continue;
     ASSERT_TRUE(simd::set_isa(isa));
     for (const bool bandpass : {true, false})
@@ -586,8 +586,8 @@ TEST(RadarPipeline, CubeDoesNotDependOnIsaAtConstruction) {
   ASSERT_TRUE(simd::set_isa(Isa::kScalar));
   const RadarPipeline built_scalar(c, arr, PipelineConfig{});
   int tables = 0;
-  for (const Isa isa : {Isa::kAvx2, Isa::kNeon}) {
-    if (!simd::set_isa(isa)) continue;
+  for (const Isa isa : simd::kAllIsas) {
+    if (isa == Isa::kScalar || !simd::set_isa(isa)) continue;
     ++tables;
     const RadarPipeline built_vector(c, arr, PipelineConfig{});
     for (std::size_t f = 0; f < frames.size(); ++f) {

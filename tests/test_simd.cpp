@@ -1,7 +1,7 @@
 // Tests for the SIMD layer: ISA dispatch, per-ISA oracles for the radar
 // front end's two kernels (the split-complex product and the fused log1p
 // magnitude), and the bitwise golden pins of the radar pipeline on the
-// scalar (width-1) and AVX2 kernels (DESIGN §9).
+// scalar (width-1), AVX2 and AVX-512 kernels (DESIGN §9).
 
 #include <gtest/gtest.h>
 
@@ -37,9 +37,6 @@ class IsaGuard {
   Isa saved_;
 };
 
-/// Best vector (non-scalar) ISA, or kScalar when the host has none.
-Isa vector_isa() { return simd::best_supported_isa(); }
-
 // --- dispatch -----------------------------------------------------------
 
 TEST(SimdDispatch, ScalarAlwaysSupported) {
@@ -53,7 +50,8 @@ TEST(SimdDispatch, SetIsaRoundTripsAndRejectsUnsupported) {
   ASSERT_TRUE(simd::set_isa(Isa::kScalar));
   EXPECT_EQ(simd::active_isa(), Isa::kScalar);
   EXPECT_EQ(simd::kernels().width, 1);
-  for (const Isa isa : {Isa::kAvx2, Isa::kNeon}) {
+  for (const Isa isa : simd::kAllIsas) {
+    if (isa == Isa::kScalar) continue;
     if (simd::isa_supported(isa)) {
       EXPECT_TRUE(simd::set_isa(isa));
       EXPECT_EQ(simd::active_isa(), isa);
@@ -66,21 +64,28 @@ TEST(SimdDispatch, SetIsaRoundTripsAndRejectsUnsupported) {
 }
 
 TEST(SimdDispatch, BestSupportedIsSupported) {
-  EXPECT_TRUE(simd::isa_supported(simd::best_supported_isa()));
+  const Isa best = simd::best_supported_isa();
+  EXPECT_TRUE(simd::isa_supported(best));
+  for (const Isa isa : simd::kAllIsas) {
+    if (!simd::isa_supported(isa)) continue;
+    EXPECT_LE(simd::kernels_for(isa)->width, simd::kernels_for(best)->width)
+        << simd::isa_name(isa);
+  }
 }
 
 TEST(SimdDispatch, IsaNamesAreStable) {
   EXPECT_STREQ(simd::isa_name(Isa::kScalar), "scalar");
   EXPECT_STREQ(simd::isa_name(Isa::kAvx2), "avx2");
   EXPECT_STREQ(simd::isa_name(Isa::kNeon), "neon");
+  EXPECT_STREQ(simd::isa_name(Isa::kAvx512), "avx512");
 }
 
 // --- radar front-end kernels, per ISA ----------------------------------
 
-/// Every kernel table this host can run, scalar first.
+/// Every kernel table this host can run, widest first.
 std::vector<const simd::Kernels*> all_tables() {
   std::vector<const simd::Kernels*> tables;
-  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kNeon})
+  for (const Isa isa : simd::kAllIsas)
     if (const simd::Kernels* k = simd::kernels_for(isa)) tables.push_back(k);
   return tables;
 }
@@ -144,7 +149,7 @@ TEST(ComplexProductPerIsa, MatchesDoubleOracleOnEdgeShapes) {
   Rng rng(111);
   for (const simd::Kernels* kt : all_tables())
     for (const int m : {1, 5, 24})
-      for (const int n : {1, 3, 7, 24, 25})
+      for (const int n : {1, 3, 7, 8, 9, 15, 16, 17, 24, 25})
         for (const int k : {0, 1, 12, 64}) {
           const Operand a(m, k, rng);
           const Operand b(k, n, rng);  // B is k x n: b.m = k, b.k = n
@@ -306,8 +311,16 @@ TEST(VectorGolden, PipelineCubeHashUnchanged) {
   EXPECT_EQ(golden_scene_cube_hash(), 0xbe4c99907e88d96eull);
 }
 
+TEST(VectorGolden, Avx512PipelineCubeHashIsTheAvx2One) {
+  // The 8-lane product and log1p_abs do the AVX2 table's per-lane
+  // operations in the same order, so the cube keeps the AVX2 bits.
+  if (!simd::isa_supported(Isa::kAvx512)) GTEST_SKIP() << "no AVX-512";
+  IsaGuard guard;
+  ASSERT_TRUE(simd::set_isa(Isa::kAvx512));
+  EXPECT_EQ(golden_scene_cube_hash(), 0xbe4c99907e88d96eull);
+}
+
 TEST(VectorPipeline, CubeMatchesScalarWithinTolerance) {
-  if (vector_isa() == Isa::kScalar) GTEST_SKIP() << "no vector ISA";
   IsaGuard guard;
   radar::ChirpConfig chirp;
   chirp.noise_stddev = 0.0;
@@ -322,13 +335,19 @@ TEST(VectorPipeline, CubeMatchesScalarWithinTolerance) {
   const auto frame = sim.simulate_frame(scene, 0.0, rng);
   ASSERT_TRUE(simd::set_isa(Isa::kScalar));
   const auto ref = pipe.process_frame(frame);
-  ASSERT_TRUE(simd::set_isa(vector_isa()));
-  const auto got = pipe.process_frame(frame);
-  ASSERT_EQ(ref.data().size(), got.data().size());
   float scale = 0.0f;
   for (const float v : ref.data()) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < ref.data().size(); ++i)
-    EXPECT_NEAR(ref.data()[i], got.data()[i], 1e-6f * scale) << "cell " << i;
+  int tables = 0;
+  for (const Isa isa : simd::kAllIsas) {
+    if (isa == Isa::kScalar || !simd::set_isa(isa)) continue;
+    ++tables;
+    const auto got = pipe.process_frame(frame);
+    ASSERT_EQ(ref.data().size(), got.data().size());
+    for (std::size_t i = 0; i < ref.data().size(); ++i)
+      EXPECT_NEAR(ref.data()[i], got.data()[i], 1e-6f * scale)
+          << simd::isa_name(isa) << " cell " << i;
+  }
+  if (tables == 0) GTEST_SKIP() << "no vector ISA";
 }
 
 }  // namespace
