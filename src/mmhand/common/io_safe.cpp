@@ -227,10 +227,11 @@ std::uint64_t repair_torn_line_tail(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size - keep);
 }
 
-bool LineWriter::open(const std::string& path) {
+bool LineWriter::open(const std::string& path, std::uint64_t* truncated) {
   if (file_ != nullptr && path_ == path) return true;
   close();
-  repair_torn_line_tail(path);
+  const std::uint64_t torn = repair_torn_line_tail(path);
+  if (truncated != nullptr) *truncated = torn;
   file_ = std::fopen(path.c_str(), "a");
   if (file_ == nullptr) return false;
   path_ = path;

@@ -75,10 +75,11 @@ class LineWriter {
   LineWriter(const LineWriter&) = delete;
   LineWriter& operator=(const LineWriter&) = delete;
 
-  /// Opens `path` for appending (repairing a torn tail first).  A
+  /// Opens `path` for appending (repairing a torn tail first, and
+  /// storing the bytes it truncated in `*truncated` when given).  A
   /// second open on the same path is a no-op; a different path closes
   /// the previous sink.  False when the file cannot be opened.
-  bool open(const std::string& path);
+  bool open(const std::string& path, std::uint64_t* truncated = nullptr);
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
 

@@ -17,7 +17,7 @@
 //   MMHAND_RUN_LOG=<path>       append training/eval run records as JSONL
 //   MMHAND_NUMERIC_CHECK=<mode> off|warn|fatal NaN/Inf watchdog (default off)
 //   MMHAND_TELEMETRY=<spec>     <interval_ms>[,out=PATH][,om=PATH]
-//                               [,budgets=PATH][,ring=N] time-series sampler
+//                               [,budgets=PATH] time-series sampler
 //   MMHAND_FLIGHT=<spec>        <path>[,slots=N] crash flight recorder
 //   MMHAND_PMU=1                attach perf_event hardware counters to spans
 //                               (implies metrics; clock-only fallback when

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <mutex>
 
 #include "mmhand/common/io_safe.hpp"
@@ -17,11 +16,8 @@ namespace {
 /// (shared with the telemetry stream).
 struct Sink {
   std::mutex mu;
-  io_safe::LineWriter writer;    // guarded by mu
-  std::deque<std::string> tail;  // recent record lines, newest last
+  io_safe::LineWriter writer;  // guarded by mu
 };
-
-constexpr std::size_t kTailCap = 256;
 
 Sink& sink() {
   static Sink s;
@@ -117,19 +113,18 @@ std::string RunRecord::json() const { return os_.str() + "}"; }
 
 void append_run_record(const RunRecord& record) {
   if (!runlog_enabled()) return;
-  const std::string line = record.json();
   const std::string path = detail::run_log_path_raw();
+  if (path.empty()) return;
+  const std::string line = record.json();
   Sink& s = sink();
   std::lock_guard<std::mutex> lk(s.mu);
-  s.tail.push_back(line);
-  if (s.tail.size() > kTailCap) s.tail.pop_front();
-  if (path.empty()) return;
   if (!s.writer.is_open() || s.writer.path() != path) {
-    const std::uint64_t torn = io_safe::repair_torn_line_tail(path);
+    std::uint64_t torn = 0;
+    const bool opened = s.writer.open(path, &torn);
     if (torn > 0)
       MMHAND_WARN("run log %s had a torn final record; truncated %llu bytes",
                   path.c_str(), static_cast<unsigned long long>(torn));
-    if (!s.writer.open(path)) {
+    if (!opened) {
       MMHAND_WARN("cannot append run log to %s", path.c_str());
       return;
     }
@@ -137,23 +132,9 @@ void append_run_record(const RunRecord& record) {
   s.writer.append(line);
 }
 
-std::string run_log_tail(std::size_t max_records) {
-  Sink& s = sink();
-  std::lock_guard<std::mutex> lk(s.mu);
-  std::string out;
-  std::size_t start =
-      s.tail.size() > max_records ? s.tail.size() - max_records : 0;
-  for (std::size_t i = start; i < s.tail.size(); ++i) {
-    out += s.tail[i];
-    out += '\n';
-  }
-  return out;
-}
-
 void reset_run_log() {
   Sink& s = sink();
   std::lock_guard<std::mutex> lk(s.mu);
-  s.tail.clear();
   s.writer.close();
 }
 

@@ -36,11 +36,11 @@ inline bool runlog_enabled() {
 }
 
 /// Runtime override; wins over the environment.  Enabling without a
-/// configured path keeps records in the in-memory tail only.
+/// configured path writes nothing.
 void set_run_log_enabled(bool on);
 
 /// Sets the output path and enables the run log.  An empty path disables
-/// file output (records still reach the in-memory tail).
+/// file output.
 void set_run_log_path(const std::string& path);
 
 /// Currently configured output path ("" when unset).
@@ -92,13 +92,8 @@ class RunRecord {
 /// run log is disabled.
 void append_run_record(const RunRecord& record);
 
-/// Last `max_records` record lines appended in this process (newest
-/// last), for tests and tools that want records without file I/O.
-std::string run_log_tail(std::size_t max_records);
-
-/// Drops the in-memory tail and closes the current file handle (the
-/// next append reopens the configured path).  Used by tests switching
-/// output paths.
+/// Closes the current file handle (the next append reopens the
+/// configured path).  Used by tests switching output paths.
 void reset_run_log();
 
 }  // namespace mmhand::obs

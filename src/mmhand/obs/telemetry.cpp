@@ -312,7 +312,7 @@ bool parse_telemetry_spec(const std::string& spec, TelemetryConfig* config,
         if (error != nullptr)
           *error = "telemetry spec: interval_ms must lead and be an "
                    "integer in [1, 60000] (grammar: <interval_ms>"
-                   "[,out=PATH][,om=PATH][,budgets=PATH][,ring=N])";
+                   "[,out=PATH][,om=PATH][,budgets=PATH])";
         return false;
       }
       out.interval_ms = static_cast<int>(v);
@@ -323,13 +323,6 @@ bool parse_telemetry_spec(const std::string& spec, TelemetryConfig* config,
       out.openmetrics_path = token.substr(3);
     } else if (token.rfind("budgets=", 0) == 0) {
       out.budgets_path = token.substr(8);
-    } else if (token.rfind("ring=", 0) == 0) {
-      if (!parse_int(token.substr(5), 16, 65536, &v)) {
-        if (error != nullptr)
-          *error = "telemetry spec: ring must be an integer in [16, 65536]";
-        return false;
-      }
-      out.ring_capacity = static_cast<int>(v);
     } else if (!token.empty()) {
       if (error != nullptr)
         *error = "telemetry spec: unknown key '" + token + "'";
@@ -357,9 +350,7 @@ bool set_telemetry(const TelemetryConfig& config) {
   Sampler& s = sampler();
   std::lock_guard<std::mutex> lk(s.mu);
   s.config = config;
-  s.config.ring_capacity = std::clamp(config.ring_capacity, 16, 65536);
-  s.ring = RingBuffer<std::string>(
-      static_cast<std::size_t>(s.config.ring_capacity));
+  s.ring.clear();
   s.seq = 0;
   s.breach_total = 0;
   s.last_t_ns = 0;
@@ -383,7 +374,6 @@ bool set_telemetry(const TelemetryConfig& config) {
   const std::int64_t now_unix_ms = unix_time_ms();
   RunRecord start("telemetry_start");
   start.field("interval_ms", s.config.interval_ms)
-      .field("ring", s.config.ring_capacity)
       .field("budgets",
              s.have_budgets ? s.config.budgets_path.c_str() : "")
       .field("unix_ms", now_unix_ms)

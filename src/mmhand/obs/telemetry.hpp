@@ -12,7 +12,6 @@
 // Enabled with
 //
 //   MMHAND_TELEMETRY=<interval_ms>[,out=PATH][,om=PATH][,budgets=PATH]
-//                    [,ring=N]
 //
 // or `set_telemetry()`.  Telemetry implies metrics (the sampler windows
 // the span histograms, so they must be recording).  The sampler only
@@ -21,7 +20,7 @@
 // or off (enforced by tests/test_telemetry.cpp); when telemetry is off
 // the obs fast path stays the usual single relaxed mask load.
 //
-// The last `ring` records are also retained in memory
+// The last 512 records are also retained in memory
 // (`telemetry_ring_tail`) so tests and in-process consumers need no
 // file I/O.  An `interval_ms` of 0 (programmatic only) starts no
 // background thread: each `telemetry_sample_now()` call emits exactly
@@ -47,7 +46,6 @@ struct TelemetryConfig {
   std::string out_path;          ///< JSONL stream ("" = in-memory only)
   std::string openmetrics_path;  ///< OpenMetrics mirror ("" = off)
   std::string budgets_path;      ///< latency-budget JSON ("" = none)
-  int ring_capacity = 512;       ///< records retained in memory
 };
 
 /// Parses the `MMHAND_TELEMETRY` grammar (see the file comment).

@@ -166,8 +166,8 @@ void Server::leave(SessionId id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   // Abandon the session's queued windows: nobody is left to poll them.
-  // A feature pass still running for the session finds nothing to
-  // attach to and drops its rows.
+  // A store the running feature pass still reads stays parked until the
+  // pass ends (recycle_locked).
   for (ReadyWindow& w : ready_)
     if (w.session == id) recycle_locked(std::move(w.store));
   ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
@@ -182,8 +182,24 @@ void Server::leave(SessionId id) {
     counters().sessions.set(static_cast<double>(sessions_.size()));
 }
 
-void Server::resolve_locked(Session* session, WindowResult result) {
-  switch (result.disposition) {
+Server::ReadyWindow Server::dequeue_locked(std::size_t index) {
+  ReadyWindow w = std::move(ready_[index]);
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(index));
+  auto it = sessions_.find(w.session);
+  if (it != sessions_.end()) --it->second->queued;
+  return w;
+}
+
+void Server::finish_locked(ReadyWindow& w, Disposition disposition,
+                           Tier tier, double e2e_ms, WindowResult result) {
+  result.seq = w.seq;
+  result.disposition = disposition;
+  result.tier = tier;
+  result.e2e_ms = e2e_ms;
+  result.first_frame = w.first_frame;
+  result.last_frame = w.last_frame;
+  recycle_locked(std::move(w.store));
+  switch (disposition) {
     case Disposition::kCompleted:
       ++stats_.windows_completed;
       if (obs::metrics_enabled()) counters().completed.add(1);
@@ -197,33 +213,14 @@ void Server::resolve_locked(Session* session, WindowResult result) {
       if (obs::metrics_enabled()) counters().deadline_missed.add(1);
       break;
   }
-  if (result.disposition != Disposition::kShed && obs::metrics_enabled()) {
-    const double us = result.e2e_ms * 1000.0;
-    counters().e2e.record(us);
-    if (session != nullptr) slot_histogram(session->id).record(us);
-  }
-  if (session != nullptr)
-    session->delivered.push_back(std::move(result));
-}
-
-void Server::shed_ready_locked(std::size_t index, bool degraded) {
-  ReadyWindow w = std::move(ready_[index]);
-  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(index));
   auto it = sessions_.find(w.session);
-  Session* s = it == sessions_.end() ? nullptr : it->second.get();
-  if (s != nullptr) --s->queued;
-  if (degraded) {
-    ++stats_.degraded_drops;
-    if (obs::metrics_enabled()) counters().degraded.add(1);
+  const bool live = it != sessions_.end();  // false once the session left
+  if (disposition != Disposition::kShed && obs::metrics_enabled()) {
+    const double us = e2e_ms * 1000.0;
+    counters().e2e.record(us);
+    if (live) slot_histogram(w.session).record(us);
   }
-  recycle_locked(std::move(w.store));
-  WindowResult r;
-  r.seq = w.seq;
-  r.disposition = Disposition::kShed;
-  r.tier = tier_;
-  r.first_frame = w.first_frame;
-  r.last_frame = w.last_frame;
-  resolve_locked(s, std::move(r));
+  if (live) it->second->delivered.push_back(std::move(result));
 }
 
 Server::WindowStore Server::take_store_locked() {
@@ -242,11 +239,14 @@ Server::WindowStore Server::take_store_locked() {
 
 void Server::recycle_locked(WindowStore store) {
   // Every store is held by a filling session, a queued or running
-  // window, or this list, so the list never outgrows the most ever in
-  // use.  A session between windows holds none.
+  // window, the running feature pass or the free list, so the list
+  // never outgrows the most ever in use.  A session between windows
+  // holds none.
   if (store.frames.empty()) return;
   store.featured = 0;
-  free_stores_.push_back(std::move(store));
+  // The running feature pass still reads the store's frames and writes
+  // its feature rows: no one may refill it before the pass ends.
+  (store.pass == pass_ ? parked_ : free_stores_).push_back(std::move(store));
 }
 
 SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
@@ -289,23 +289,21 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
   }
 
   // A full window.  Under the kPoseOnly tier every other window per
-  // session is shed before it ever queues (half window density); the
-  // session refills the same storage, cached features dropped.
+  // session is shed before it ever queues (half window density); its
+  // store recycles and the session takes one with its next frame.
   s.frames_filled = 0;
-  const std::uint64_t seq = s.next_seq++;
+  ReadyWindow w;
+  w.session = id;
+  w.seq = s.next_seq++;
+  w.first_frame = s.first_frame;
+  w.last_frame = s.next_frame - 1;
+  w.store = std::exchange(s.store, {});
   if (tier_ == Tier::kPoseOnly) {
     s.drop_toggle = !s.drop_toggle;
     if (s.drop_toggle) {
-      s.store.featured = 0;
       ++stats_.degraded_drops;
       if (obs::metrics_enabled()) counters().degraded.add(1);
-      WindowResult r;
-      r.seq = seq;
-      r.disposition = Disposition::kShed;
-      r.tier = tier_;
-      r.first_frame = s.first_frame;
-      r.last_frame = s.next_frame - 1;
-      resolve_locked(&s, std::move(r));
+      finish_locked(w, Disposition::kShed, tier_, 0.0);
       return {true, false, 0.0};
     }
   }
@@ -322,18 +320,20 @@ SubmitResult Server::submit(SessionId id, const radar::RadarCube& cube) {
         }
     }
     if (victim == ready_.size() && !ready_.empty()) victim = 0;
-    if (victim < ready_.size()) shed_ready_locked(victim, false);
+    if (victim < ready_.size()) {
+      ReadyWindow shed = dequeue_locked(victim);
+      finish_locked(shed, Disposition::kShed, tier_, 0.0);
+    }
   }
 
-  ReadyWindow w;
-  w.session = id;
-  w.seq = seq;
   w.ready_ns = now_ns();
   w.deadline_ns =
       w.ready_ns + static_cast<std::uint64_t>(config_.deadline_ms * 1e6);
-  w.first_frame = s.first_frame;
-  w.last_frame = s.next_frame - 1;
-  w.store = std::exchange(s.store, {});
+  // The running feature pass writes the rows of the frames it reads
+  // straight into the store, wherever the window is when it ends.
+  if (w.store.pass == pass_)
+    stats_.frames_attached_late +=
+        static_cast<std::uint64_t>(w.store.pass_frames);
   ready_.push_back(std::move(w));
   ++s.queued;
   stats_.max_ready_depth =
@@ -388,20 +388,9 @@ int Server::expire_deadlines_locked(std::uint64_t now) {
   // Windows enter in ready order and share one deadline offset, so the
   // expired set is always a prefix of the FIFO.
   while (!ready_.empty() && ready_.front().deadline_ns <= now) {
-    ReadyWindow w = std::move(ready_.front());
-    ready_.pop_front();
-    auto it = sessions_.find(w.session);
-    Session* s = it == sessions_.end() ? nullptr : it->second.get();
-    if (s != nullptr) --s->queued;
-    recycle_locked(std::move(w.store));
-    WindowResult r;
-    r.seq = w.seq;
-    r.disposition = Disposition::kDeadlineMissed;
-    r.tier = tier_;
-    r.e2e_ms = static_cast<double>(now - w.ready_ns) / 1e6;
-    r.first_frame = w.first_frame;
-    r.last_frame = w.last_frame;
-    resolve_locked(s, std::move(r));
+    ReadyWindow w = dequeue_locked(0);
+    finish_locked(w, Disposition::kDeadlineMissed, tier_,
+                  static_cast<double>(now - w.ready_ns) / 1e6);
     ++expired;
   }
   return expired;
@@ -414,69 +403,33 @@ bool Server::features_pending_locked() const {
   return false;
 }
 
-nn::Tensor Server::claim_features_locked() {
+bool Server::claim_features_locked() {
   // One window's worth of frames at most, so a window that completes
-  // meanwhile waits at most one window's mmSpaceNet.
-  claims_.clear();
-  int total = 0;
+  // meanwhile waits at most one window's mmSpaceNet.  The pass reads
+  // each frame from, and writes its row to, the session's store.
+  raw_frames_.clear();
+  feature_rows_.clear();
   for (const auto& entry : sessions_) {
-    const Session& s = *entry.second;
-    const int count = std::min(s.frames_filled - s.store.featured,
-                               frames_per_window_ - total);
+    WindowStore& store = entry.second->store;
+    const int count =
+        std::min(entry.second->frames_filled - store.featured,
+                 frames_per_window_ - static_cast<int>(raw_frames_.size()));
     if (count <= 0) continue;
-    claims_.push_back({s.id, s.next_seq, s.store.featured, count});
-    total += count;
-    if (total == frames_per_window_) break;
+    stage_frames(store.frames.data(), store.features.data(), store.featured,
+                 store.featured + count);
+    store.featured += count;
+    store.pass = pass_;
+    store.pass_frames = count;
+    if (static_cast<int>(raw_frames_.size()) == frames_per_window_) break;
   }
-  if (total == 0) return {};
-  const auto& pc = model_.config();
-  nn::Tensor frames({total, pc.velocity_bins, pc.range_bins, pc.angle_bins});
-  float* dst = frames.data();
-  for (const FeatureClaim& c : claims_) {
-    WindowStore& store = sessions_.find(c.session)->second->store;
-    const float* src =
-        store.frames.data() + static_cast<std::size_t>(c.first) * frame_elems_;
-    const std::size_t n = static_cast<std::size_t>(c.count) * frame_elems_;
-    std::copy(src, src + n, dst);
-    dst += n;
-    store.featured += c.count;
-  }
-  stats_.frames_featured_early += static_cast<std::uint64_t>(total);
-  return frames;
-}
-
-void Server::attach_features_locked(const nn::Tensor& features) {
-  const float* src = features.data();
-  for (const FeatureClaim& c : claims_) {
-    const std::size_t n = static_cast<std::size_t>(c.count) * feature_elems_;
-    const float* rows = src;
-    src += n;
-    auto it = sessions_.find(c.session);
-    if (it == sessions_.end()) continue;  // the session left
-    WindowStore* store = nullptr;
-    if (it->second->next_seq == c.seq) {
-      store = &it->second->store;
-    } else {
-      // The window completed while its frames were in the pass.  It is
-      // still queued unless it was shed, expired or dropped by kPoseOnly.
-      for (auto w = ready_.rbegin(); w != ready_.rend(); ++w)
-        if (w->session == c.session && w->seq == c.seq) {
-          store = &w->store;
-          stats_.frames_attached_late += static_cast<std::uint64_t>(c.count);
-          break;
-        }
-      if (store == nullptr) continue;
-    }
-    std::copy(rows, rows + n,
-              store->features.data() +
-                  static_cast<std::size_t>(c.first) * feature_elems_);
-  }
+  stats_.frames_featured_early += raw_frames_.size();
+  return !raw_frames_.empty();
 }
 
 int Server::step() {
   Tier batch_tier = Tier::kFull;
   int resolved = 0;
-  nn::Tensor frames;  // staged frames of a feature pass
+  bool pass = false;  // a feature pass claimed frames
   {
     std::lock_guard<std::mutex> lk(mu_);
     const std::uint64_t now = now_ns();
@@ -485,32 +438,27 @@ int Server::step() {
     const int take = std::min<int>(config_.batch_max,
                                    static_cast<int>(ready_.size()));
     batch_.clear();
-    for (int i = 0; i < take; ++i) {
-      ReadyWindow w = std::move(ready_.front());
-      ready_.pop_front();
-      auto it = sessions_.find(w.session);
-      if (it != sessions_.end()) --it->second->queued;
-      batch_.push_back(std::move(w));
-    }
+    for (int i = 0; i < take; ++i) batch_.push_back(dequeue_locked(0));
     inflight_ += static_cast<int>(batch_.size());
     batch_tier = tier_;
-    if (batch_.empty()) frames = claim_features_locked();
+    if (batch_.empty()) pass = claim_features_locked();
   }
   if (!batch_.empty()) {
     resolved += run_batch(batch_tier);
-  } else if (!frames.empty()) {
+  } else if (pass) {
     // Idle time: features of frames in still-filling windows.
-    nn::Tensor features({frames.dim(0), static_cast<int>(feature_elems_)});
-    raw_frames_.clear();
-    feature_rows_.clear();
-    stage_frames(frames.data(), features.data(), 0, frames.dim(0));
     {
       obs::FrameScope frame("serve/frame_features");
       MMHAND_SPAN("serve/frame_features");
       features_of();
     }
+    // The pass ends: no store carries the next stamp until a pass
+    // claims frames, and the stores parked meanwhile are free.
     std::lock_guard<std::mutex> lk(mu_);
-    attach_features_locked(features);
+    ++pass_;
+    for (WindowStore& store : parked_)
+      free_stores_.push_back(std::move(store));
+    parked_.clear();
   }
   if (resolved > 0) drain_cv_.notify_all();
   return resolved;
@@ -602,19 +550,12 @@ int Server::run_batch(Tier batch_tier) {
   std::lock_guard<std::mutex> lk(mu_);
   for (std::size_t b = 0; b < batch_.size(); ++b) {
     ReadyWindow& w = batch_[b];
-    recycle_locked(std::move(w.store));
-    WindowResult& r = results_[b];
-    r.seq = w.seq;
-    r.disposition = done > w.deadline_ns ? Disposition::kDeadlineMissed
-                                         : Disposition::kCompleted;
-    r.tier = batch_tier;
-    r.mesh_done = with_mesh;
-    r.e2e_ms = static_cast<double>(done - w.ready_ns) / 1e6;
-    r.first_frame = w.first_frame;
-    r.last_frame = w.last_frame;
-    auto it = sessions_.find(w.session);
-    resolve_locked(it == sessions_.end() ? nullptr : it->second.get(),
-                   std::move(r));
+    results_[b].mesh_done = with_mesh;
+    finish_locked(w,
+                  done > w.deadline_ns ? Disposition::kDeadlineMissed
+                                       : Disposition::kCompleted,
+                  batch_tier, static_cast<double>(done - w.ready_ns) / 1e6,
+                  std::move(results_[b]));
   }
   batch_.clear();
   inflight_ -= b_count;

@@ -38,16 +38,23 @@
 // store raw cube frames: submit is a copy, and the scheduler normalizes
 // each frame (pose::normalize_cube_frame) just before it runs
 // mmSpaceNet on it, outside the lock, in calls just large enough to fan
-// out over the pool (one frame at pool width 1).
+// out over the pool (one frame at pool width 1).  Both the idle-time
+// pass and a batch read frames from, and write feature rows to, the
+// window stores in place; no frame or row is copied under the lock.
 //
 // Threading: one mutex guards all queue state; the NN work runs
 // outside the lock (only the scheduler executes it).  A window's frame
 // and feature storage moves, never copies, from its session to the
 // ready queue to the scheduler, and recycles through a free list under
-// the same mutex; a session holds none between windows.  At pool width
-// 1 the scheduler moves off a CPU it keeps sharing with the thread that
-// submits frames (DESIGN §13 "Placement").  With Options.manual_step the server runs no thread
-// and tests drive `step()` with an injected clock for full determinism.
+// the same mutex; a session holds none between windows.  A store the
+// running feature pass reads is never refilled before the pass ends: a
+// window that completes meanwhile queues with it (the pass's rows land
+// there), and a store recycled meanwhile (leave, shed, kPoseOnly drop)
+// is parked until the pass ends.  At pool width 1 the scheduler moves
+// off a CPU it keeps sharing with the thread that submits frames
+// (DESIGN §13 "Placement").  With Options.manual_step the server runs
+// no thread and tests drive `step()` with an injected clock for full
+// determinism.
 
 #include <atomic>
 #include <cstdint>
@@ -119,8 +126,8 @@ struct ServerStats {
   /// Frames whose features a batch step computed (a window's missing
   /// frames when it runs).
   std::uint64_t frames_featured_in_batch = 0;
-  /// Early frames whose window became ready while their pass ran; their
-  /// features were attached to the queued window.
+  /// Early frames whose window became ready while their pass read them;
+  /// the pass wrote their features into the queued window's store.
   std::uint64_t frames_attached_late = 0;
   int live_sessions = 0;
   int ready_depth = 0;
@@ -199,6 +206,8 @@ class Server {
     std::vector<float> features;  ///< [S*st, frame_feature_numel]
     int featured = 0;  ///< leading frames whose features are set or
                        ///< claimed by the running feature pass
+    std::uint64_t pass = 0;  ///< stamp of the last pass that claimed frames
+    int pass_frames = 0;     ///< how many frames that pass claimed
   };
 
   struct ReadyWindow {
@@ -223,27 +232,25 @@ class Server {
     std::vector<WindowResult> delivered;
   };
 
-  /// Frames [first, first + count) of window `seq` of `session`, staged
-  /// into the running feature pass.
-  struct FeatureClaim {
-    SessionId session = 0;
-    std::uint64_t seq = 0;
-    int first = 0;
-    int count = 0;
-  };
-
   std::uint64_t now_ns() const;
   double pressure_locked() const;
   void tier_tick_locked();
-  void resolve_locked(Session* session, WindowResult result);
-  void shed_ready_locked(std::size_t index, bool degraded);
+  /// Removes ready_[index] from the queue and its session's share.
+  ReadyWindow dequeue_locked(std::size_t index);
+  /// Resolves `w`: completes `result` with the window's seq and frames
+  /// and the given outcome, recycles the store, counts the outcome and
+  /// delivers the result to the session unless it left.
+  void finish_locked(ReadyWindow& w, Disposition disposition, Tier tier,
+                     double e2e_ms, WindowResult result = {});
   void scheduler_loop();
   int expire_deadlines_locked(std::uint64_t now);
   WindowStore take_store_locked();
   void recycle_locked(WindowStore store);
   bool features_pending_locked() const;
-  nn::Tensor claim_features_locked();
-  void attach_features_locked(const nn::Tensor& features);
+  /// Stages up to one window of frames of the filling sessions' stores
+  /// into raw_frames_ / feature_rows_ for an idle-time pass and stamps
+  /// those stores with pass_.  False when no frame is pending.
+  bool claim_features_locked();
   /// Appends frames [first, end) of `frames` and their rows of `rows`
   /// to raw_frames_ / feature_rows_.
   void stage_frames(const float* frames, float* rows, int first, int end);
@@ -280,12 +287,16 @@ class Server {
   int lo_streak_ = 0;
   ServerStats stats_;
   std::vector<WindowStore> free_stores_;  ///< recycled window storage
+  /// Recycled stores the running feature pass still reads.
+  std::vector<WindowStore> parked_;
+  /// Stamp of the running (or next) feature pass; a store carries it
+  /// exactly while that pass reads the store.
+  std::uint64_t pass_ = 1;
   std::atomic<int> submit_cpu_{-1};  ///< CPU of the latest submit's caller
 
   // Scheduler-only scratch (the step() caller owns it; capacity kept).
   std::vector<ReadyWindow> batch_;
   std::vector<WindowResult> results_;  ///< batch_'s, built before the lock
-  std::vector<FeatureClaim> claims_;
   std::vector<const float*> raw_frames_;  ///< features_of's input frames
   std::vector<float*> feature_rows_;      ///< and their feature rows
 

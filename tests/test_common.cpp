@@ -454,5 +454,29 @@ TEST(LineWriter, RepairIsANoOpOnAnIntactFile) {
   fs::remove(path);
 }
 
+TEST(LineWriter, OpenReportsTheBytesItTruncated) {
+  namespace fs = std::filesystem;
+  const std::string path =
+      (fs::temp_directory_path() / "mmhand_linewriter_report.jsonl").string();
+  fs::remove(path);
+  const std::string torn_line = "{\"seq\": 2, \"partial";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "{\"seq\": 1}\n" << torn_line;
+  }
+  std::uint64_t truncated = 0;
+  io_safe::LineWriter writer;
+  ASSERT_TRUE(writer.open(path, &truncated));
+  EXPECT_EQ(truncated, torn_line.size());
+  EXPECT_EQ(fs::file_size(path), 11u);
+  writer.close();
+  // An intact tail reports nothing truncated.
+  truncated = 99;
+  ASSERT_TRUE(writer.open(path, &truncated));
+  EXPECT_EQ(truncated, 0u);
+  writer.close();
+  fs::remove(path);
+}
+
 }  // namespace
 }  // namespace mmhand

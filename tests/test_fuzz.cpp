@@ -118,7 +118,7 @@ const std::vector<std::string> kSpecDict = {
     std::string(1, '\0')};
 
 TEST(Fuzz, TelemetryAndFlightSpecs) {
-  fuzz(1, {"100", "0,out=/tmp/t.jsonl", "50,out=a,om=b,budgets=c,ring=64"},
+  fuzz(1, {"100", "0,out=/tmp/t.jsonl", "50,out=a,om=b,budgets=c"},
        kSpecDict, 3000, [](const std::string& spec) {
          obs::TelemetryConfig config;
          std::string error;

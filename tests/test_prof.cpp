@@ -83,7 +83,6 @@ std::vector<float> run_process_frame() {
 obs::TelemetryConfig manual_config() {
   obs::TelemetryConfig config;
   config.interval_ms = 0;
-  config.ring_capacity = 64;
   return config;
 }
 

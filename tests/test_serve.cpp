@@ -4,7 +4,9 @@
 // drained-server bitwise parity with the offline pipeline.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -749,6 +751,188 @@ TEST(FeatureCache, FeaturePassOverlappingCompletionAttachesToQueuedWindow) {
   EXPECT_TRUE(overlapped);
   EXPECT_EQ(server.stats().frames_attached_late,
             static_cast<std::uint64_t>(frames - 1));
+}
+
+/// A manual-step server over a wide trunk (so a feature pass takes a
+/// while) whose step() runs on its own thread: the test acts while the
+/// pass reads the window stores in place.  A store the pass reads must
+/// not be refilled before it ends; the stores it would take instead are
+/// what TSan checks here (scripts/check_tsan.sh runs this binary).
+class FeaturePassRaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    g_fake_now.store(0);
+    prev_threads_ = num_threads();
+    set_num_threads(1);
+    pose::PoseNetConfig net = tiny_net();
+    net.spacenet.stem_channels = 32;
+    net.spacenet.block1_channels = 48;
+    net.spacenet.block2_channels = 48;
+    Rng rng(17);
+    model_ = std::make_unique<pose::HandJointRegressor>(net, rng);
+    recording_ = tiny_recording(12);
+    for (const auto& sample : pose::make_pose_samples(recording_, net))
+      want_.push_back(pose::predict_sample(*model_, sample));
+    frames_ = net.frames_per_sample();
+  }
+
+  void TearDown() override { set_num_threads(prev_threads_); }
+
+  Server::Options options() const {
+    Server::Options opts;
+    opts.manual_step = true;
+    opts.clock = fake_clock;
+    return opts;
+  }
+
+  int windows() const { return static_cast<int>(want_.size()); }
+
+  /// Submits frames [first, last) of recording window `w`.
+  void submit(Server& server, serve::SessionId id, int w, int first,
+              int last) {
+    for (int f = first; f < last; ++f)
+      ASSERT_TRUE(server
+                      .submit(id, recording_
+                                      .frames[static_cast<std::size_t>(
+                                          w * frames_ + f)]
+                                      .cube)
+                      .accepted);
+  }
+
+  /// Runs one step() on its own thread and calls `during` once the
+  /// step's feature pass has claimed frames.  True when `during`
+  /// returned before step() did, so it overlapped the pass.
+  bool overlap_pass(Server& server, const std::function<void()>& during) {
+    const std::uint64_t before = server.stats().frames_featured_early;
+    std::atomic<bool> done{false};
+    std::thread stepper([&] {
+      server.step();
+      done.store(true);
+    });
+    // Sleep between polls: on a host with little spare CPU a spinning
+    // poller would keep the stepper off the core until its slice ends.
+    const auto t0 = std::chrono::steady_clock::now();
+    while (server.stats().frames_featured_early == before &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5))
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    during();
+    const bool overlapped = !done.load();
+    stepper.join();
+    return overlapped;
+  }
+
+  /// Drains, then expects every completed window of `id` to equal the
+  /// recording window it was filled from (`sent[seq]`).  Returns how
+  /// many completed.
+  int expect_poses(Server& server, serve::SessionId id,
+                   const std::vector<int>& sent) {
+    server.drain();
+    std::vector<serve::WindowResult> results;
+    server.poll(id, &results);
+    int completed = 0;
+    for (const auto& r : results) {
+      if (r.disposition != Disposition::kCompleted) continue;
+      EXPECT_LT(r.seq, sent.size());
+      if (r.seq >= sent.size()) continue;
+      expect_same_pose(r.pose, want_[static_cast<std::size_t>(sent[r.seq])]);
+      ++completed;
+    }
+    return completed;
+  }
+
+  int prev_threads_ = 1;
+  std::unique_ptr<pose::HandJointRegressor> model_;
+  sim::Recording recording_;
+  std::vector<nn::Tensor> want_;
+  int frames_ = 0;
+};
+
+TEST_F(FeaturePassRaceTest, LeaveMidPassThenANewSessionFillsAWindow) {
+  // The pass reads the leaving session's store; the new session's frames
+  // must land in another one.
+  Server server(ServeConfig{}, *model_, options());
+  int overlaps = 0;
+  for (int attempt = 0; attempt < 100 && overlaps < 3; ++attempt) {
+    const int w = attempt % windows();
+    const int next = (w + 1) % windows();
+    const auto a = server.join();
+    submit(server, a.id, w, 0, frames_ - 1);
+    serve::SessionId b = 0;
+    overlaps += overlap_pass(server, [&] {
+      server.leave(a.id);
+      b = server.join().id;
+      submit(server, b, next, 0, frames_);
+    });
+    EXPECT_EQ(expect_poses(server, b, {next}), 1);
+    server.leave(b);
+  }
+  EXPECT_GT(overlaps, 0);
+}
+
+TEST_F(FeaturePassRaceTest, WindowDroppedOrExpiredMidPassThenTheNextFills) {
+  // The window the pass reads completes meanwhile and never runs: under
+  // kPoseOnly it is dropped at once (its store goes back while the pass
+  // still reads it), or it queues and expires.  The session's next window
+  // must come out as the offline pose either way.
+  for (const bool pose_only : {true, false}) {
+    SCOPED_TRACE(pose_only ? "pose_only drop" : "deadline expiry");
+    g_fake_now.store(0);
+    ServeConfig cfg;
+    if (pose_only) {
+      cfg.queue_cap = 2;
+      cfg.batch_max = 1;
+      cfg.hold_ticks = 1;
+      cfg.shed_lo = 0.0;  // never de-escalate
+      cfg.deadline_ms = 1e9;
+    } else {
+      cfg.deadline_ms = 5.0;
+    }
+    Server server(cfg, *model_, options());
+    const auto a = server.join();
+    std::vector<int> sent;  // recording window of each seq
+    const auto send_window = [&](int w) {
+      sent.push_back(w);
+      submit(server, a.id, w, 0, frames_);
+    };
+    if (pose_only) {
+      // Two steps at full queue pressure: kFull -> kNoMesh -> kPoseOnly.
+      for (int w = 0; w < 3; ++w) send_window(w);
+      server.step();
+      send_window(0);
+      server.step();
+      ASSERT_EQ(server.tier(), Tier::kPoseOnly);
+      expect_poses(server, a.id, sent);
+    }
+    int overlaps = 0;
+    for (int attempt = 0; attempt < 100 && overlaps < 3; ++attempt) {
+      const int w = attempt % windows();
+      const int next = (w + 1) % windows();
+      sent.push_back(w);
+      submit(server, a.id, w, 0, frames_ - 1);
+      const std::uint64_t drops = server.stats().degraded_drops;
+      bool w_dropped = false;
+      const bool overlapped = overlap_pass(server, [&] {
+        submit(server, a.id, w, frames_ - 1, frames_);  // w completes
+        w_dropped = server.stats().degraded_drops > drops;
+        if (w_dropped) send_window(next);
+      });
+      int want_completed = 1;
+      if (pose_only && !w_dropped) {
+        // `w` queued instead: `next` is dropped, and one more window
+        // shifts the alternation so that the next attempt's `w` drops.
+        send_window(next);
+        send_window(next);
+        want_completed = 2;
+      } else if (!pose_only) {
+        g_fake_now.fetch_add(6'000'000);  // past w's 5 ms deadline
+        EXPECT_EQ(server.step(), 1);
+        send_window(next);
+      }
+      EXPECT_EQ(expect_poses(server, a.id, sent), want_completed);
+      if (overlapped && (w_dropped || !pose_only)) ++overlaps;
+    }
+    EXPECT_GT(overlaps, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

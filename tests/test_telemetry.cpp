@@ -60,7 +60,6 @@ Value newest_record() {
 obs::TelemetryConfig manual_config() {
   obs::TelemetryConfig config;
   config.interval_ms = 0;
-  config.ring_capacity = 64;
   return config;
 }
 
@@ -71,14 +70,12 @@ TEST(TelemetrySpec, ParsesFullGrammar) {
   obs::TelemetryConfig config;
   std::string error;
   ASSERT_TRUE(obs::parse_telemetry_spec(
-      "250,out=/tmp/t.jsonl,om=/tmp/t.om,budgets=b.json,ring=64", &config,
-      &error))
+      "250,out=/tmp/t.jsonl,om=/tmp/t.om,budgets=b.json", &config, &error))
       << error;
   EXPECT_EQ(config.interval_ms, 250);
   EXPECT_EQ(config.out_path, "/tmp/t.jsonl");
   EXPECT_EQ(config.openmetrics_path, "/tmp/t.om");
   EXPECT_EQ(config.budgets_path, "b.json");
-  EXPECT_EQ(config.ring_capacity, 64);
 }
 
 TEST(TelemetrySpec, IntervalAloneSuffices) {
@@ -93,7 +90,7 @@ TEST(TelemetrySpec, RejectsMalformedSpecs) {
   obs::TelemetryConfig config;
   std::string error;
   for (const char* bad : {"", "abc", "0", "-5", "100000", "50,bogus=1",
-                          "50,ring=1", "50,ring=abc"}) {
+                          "50,ring=64", "50,ring=1", "50,ring=abc"}) {
     error.clear();
     EXPECT_FALSE(obs::parse_telemetry_spec(bad, &config, &error))
         << "accepted: " << bad;
